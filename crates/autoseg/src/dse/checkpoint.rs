@@ -33,6 +33,7 @@
 //! half-written checkpoint unless the `ckpt.torn` fault deliberately
 //! bypasses the staging to model a mid-write crash.
 
+use faultsim::rng::fnv1a;
 use std::fmt;
 use std::path::Path;
 
@@ -225,7 +226,7 @@ impl Checkpoint {
                 body.push('\n');
             }
         }
-        let sum = fnv64(body.as_bytes());
+        let sum = fnv1a(body.as_bytes());
         body.push_str(&format!("end {sum:016x}\n"));
         body
     }
@@ -294,7 +295,7 @@ impl Checkpoint {
             }
         }
         let footer = footer.ok_or_else(|| corrupt("missing end footer (torn write?)".into()))?;
-        let expected = fnv64(text.as_bytes().get(..checked).unwrap_or(b""));
+        let expected = fnv1a(text.as_bytes().get(..checked).unwrap_or(b""));
         if footer != format!("{expected:016x}") {
             return Err(corrupt("checksum mismatch (torn or edited write?)".into()));
         }
@@ -348,17 +349,6 @@ impl Checkpoint {
         })?;
         Self::from_text(&path.display().to_string(), &text)
     }
-}
-
-/// FNV-1a 64-bit over a byte slice — the checkpoint footer hash (and the
-/// same construction `pucost` uses for the energy-model fingerprint).
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Renders an `f64` as its 16-hex-digit IEEE-754 bit pattern
@@ -520,9 +510,13 @@ mod tests {
 
     #[test]
     fn fnv64_matches_reference_vectors() {
-        // Published FNV-1a test vectors.
-        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv64(b"foobar"), 0x85944171f73967e8);
+        // Published FNV-1a 64 test vectors: the footer checksum must stay
+        // this hash, or checkpoints written by older builds stop loading.
+        assert_eq!(fnv1a(b""), faultsim::rng::FNV_OFFSET);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        let text = sample().to_text();
+        let (body, footer) = text.rsplit_once("end ").expect("footer");
+        assert_eq!(footer.trim_end(), format!("{:016x}", fnv1a(body.as_bytes())));
     }
 }

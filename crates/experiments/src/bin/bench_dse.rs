@@ -22,8 +22,9 @@
 use autoseg::codesign::{run_codesign_with, CodesignBudgets, DesignPoint, Method};
 use autoseg::dse::{default_threads, DsePool};
 use autoseg::RunCtl;
-use experiments::{codesign_budgets, flag_parse, flag_value, write_text, JsonObj};
+use experiments::{codesign_budgets, flag_parse, flag_value, write_text};
 use nnmodel::zoo;
+use obs::json::{obj, Json};
 use pucost::util::f64_of_usize;
 use pucost::{
     best_dataflow, best_dataflow_batch, CompiledEval, EnergyModel, EvalCache, LayerDesc, PuBatch,
@@ -96,6 +97,16 @@ fn run(
     }
     let secs = t0.elapsed().as_secs_f64();
     (pts, cache, secs, complete)
+}
+
+/// `x` rounded to `places` decimals: the precision each number of the
+/// report has always been written with.
+fn fixed(x: f64, places: usize) -> Json {
+    Json::from(
+        format!("{x:.places$}")
+            .parse::<f64>()
+            .expect("a formatted f64 parses"),
+    )
 }
 
 /// Deterministic synthetic layer mix for the pure-eval microbenchmark:
@@ -202,15 +213,14 @@ fn microbench_pus() -> Vec<PuConfig> {
 /// once, and a variant's reported rate is its fastest round. On a shared
 /// box the max is the least noisy estimator of the true rate — slow
 /// rounds measure the co-tenant, not the kernel. Returns the
-/// `eval_throughput` object and the `speedup_curve` array as rendered
-/// JSON.
-fn eval_microbench() -> (String, String) {
+/// `eval_throughput` object and the `speedup_curve` array.
+fn eval_microbench() -> (Json, Json) {
     let layers = microbench_layers();
     let pus = microbench_pus();
     let batch = PuBatch::from_pus(&pus);
     let em = EnergyModel::tsmc28();
     let smoke = matches!(std::env::var("DSE_SMOKE"), Ok(v) if !v.is_empty() && v != "0");
-    let rounds = if smoke { 4 } else { 10 };
+    let rounds: usize = if smoke { 4 } else { 10 };
     // Each best-dataflow pick probes both dataflows.
     let evals_per_round = layers.len() * pus.len() * 2;
     let per_round = f64_of_usize(evals_per_round);
@@ -332,33 +342,32 @@ fn eval_microbench() -> (String, String) {
         );
     }
 
-    let throughput_json = JsonObj::new()
-        .raw("layers", layers.len().to_string())
-        .raw("pus", pus.len().to_string())
-        .raw("evals_per_round", evals_per_round.to_string())
-        .raw("rounds", rounds.to_string())
-        .raw("host_cpus", host_cpus.to_string())
-        .raw("scalar_evals_per_s", format!("{scalar_eps:.1}"))
-        .raw("batch_evals_per_s", format!("{batch_eps:.1}"))
-        .raw("batch_vs_scalar", format!("{ratio:.3}"))
-        .raw("compiled_evals_per_s", format!("{compiled_eps:.1}"))
-        .raw("compiled_vs_scalar", format!("{compiled_ratio:.3}"))
-        .raw("cache_scalar_evals_per_s", format!("{cache_scalar_eps:.1}"))
-        .raw("cache_batch_evals_per_s", format!("{cache_batch_eps:.1}"))
-        .raw("cache_batch_vs_scalar", format!("{cache_ratio:.3}"))
-        .render();
-    let curve_json = format!(
-        "[{}]",
-        curve
-            .iter()
-            .map(|&(t, eps)| format!(
-                "{{\"threads\": {t}, \"evals_per_s\": {eps:.1}, \"speedup\": {:.3}}}",
-                eps / base_eps
-            ))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    (throughput_json.trim_end().to_string(), curve_json)
+    let throughput_json = obj(vec![
+        ("layers", Json::from(layers.len())),
+        ("pus", Json::from(pus.len())),
+        ("evals_per_round", Json::from(evals_per_round)),
+        ("rounds", Json::from(rounds)),
+        ("host_cpus", Json::from(host_cpus)),
+        ("scalar_evals_per_s", fixed(scalar_eps, 1)),
+        ("batch_evals_per_s", fixed(batch_eps, 1)),
+        ("batch_vs_scalar", fixed(ratio, 3)),
+        ("compiled_evals_per_s", fixed(compiled_eps, 1)),
+        ("compiled_vs_scalar", fixed(compiled_ratio, 3)),
+        ("cache_scalar_evals_per_s", fixed(cache_scalar_eps, 1)),
+        ("cache_batch_evals_per_s", fixed(cache_batch_eps, 1)),
+        ("cache_batch_vs_scalar", fixed(cache_ratio, 3)),
+    ]);
+    let curve_json = curve
+        .iter()
+        .map(|&(t, eps)| {
+            obj(vec![
+                ("threads", Json::from(t)),
+                ("evals_per_s", fixed(eps, 1)),
+                ("speedup", fixed(eps / base_eps, 3)),
+            ])
+        })
+        .collect();
+    (throughput_json, Json::Arr(curve_json))
 }
 
 /// Seeded MILP set for the engine benchmark: branch-heavy tie-free
@@ -417,7 +426,7 @@ fn milp_instances() -> Vec<mip::Problem> {
 /// reduction counters, the warm-start hit rate and a log2 microsecond
 /// histogram of solve times (the histogram is timing, everything else is
 /// deterministic).
-fn milp_bench() -> String {
+fn milp_bench() -> Json {
     let set = milp_instances();
     let configs: [(&str, mip::Solver); 4] = [
         ("cold", mip::Solver::new().presolve(false).warm_lp(false).threads(1)),
@@ -514,39 +523,38 @@ fn milp_bench() -> String {
         .iter()
         .zip(&aggs)
         .map(|((name, _), agg)| {
-            let hist = agg
-                .hist
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!(
-                "\"{name}\": {{\"nodes\": {}, \"lp_solves\": {}, \"pivots\": {}, \
-                 \"warm_hits\": {}, \"warm_rejects\": {}, \"secs\": {:.6}, \
-                 \"solve_us_hist\": [{hist}]}}",
-                agg.nodes, agg.lp_solves, agg.pivots, agg.warm_hits, agg.warm_rejects, agg.secs
-            )
+            let hist = agg.hist.iter().map(|&n| Json::from(n)).collect();
+            let config = obj(vec![
+                ("nodes", Json::from(agg.nodes)),
+                ("lp_solves", Json::from(agg.lp_solves)),
+                ("pivots", Json::from(agg.pivots)),
+                ("warm_hits", Json::from(agg.warm_hits)),
+                ("warm_rejects", Json::from(agg.warm_rejects)),
+                ("secs", fixed(agg.secs, 6)),
+                ("solve_us_hist", Json::Arr(hist)),
+            ]);
+            (*name, config)
         })
-        .collect::<Vec<_>>()
-        .join(", ");
-    let presolve_json = JsonObj::new()
-        .raw("vars_fixed", aggs[1].vars_fixed.to_string())
-        .raw("rows_dropped", aggs[1].rows_dropped.to_string())
-        .raw("bounds_tightened", aggs[1].bounds_tightened.to_string())
-        .raw("coef_reductions", aggs[1].coef_reductions.to_string())
-        .raw("node_reduction", (cold_nodes - presolved_nodes.min(cold_nodes)).to_string())
-        .render();
-    JsonObj::new()
-        .raw("instances", set.len().to_string())
-        .raw("configs", format!("{{{config_json}}}"))
-        .raw("presolve", presolve_json.trim_end())
-        .raw("cold_nodes", cold_nodes.to_string())
-        .raw("presolved_nodes", presolved_nodes.to_string())
-        .raw("warm_hit_rate", format!("{warm_hit_rate:.4}"))
-        .raw("deterministic", "true".to_string())
-        .render()
-        .trim_end()
-        .to_string()
+        .collect();
+    let presolve_json = obj(vec![
+        ("vars_fixed", Json::from(aggs[1].vars_fixed)),
+        ("rows_dropped", Json::from(aggs[1].rows_dropped)),
+        ("bounds_tightened", Json::from(aggs[1].bounds_tightened)),
+        ("coef_reductions", Json::from(aggs[1].coef_reductions)),
+        (
+            "node_reduction",
+            Json::from(cold_nodes - presolved_nodes.min(cold_nodes)),
+        ),
+    ]);
+    obj(vec![
+        ("instances", Json::from(set.len())),
+        ("configs", obj(config_json)),
+        ("presolve", presolve_json),
+        ("cold_nodes", Json::from(cold_nodes)),
+        ("presolved_nodes", Json::from(presolved_nodes)),
+        ("warm_hit_rate", fixed(warm_hit_rate, 4)),
+        ("deterministic", Json::from(true)),
+    ])
 }
 
 fn main() {
@@ -634,55 +642,45 @@ fn main() {
     );
     stats.publish("bench_dse.cache");
 
-    let cache_json = JsonObj::new()
-        .raw("entries", stats.entries.to_string())
-        .raw("shards", stats.shards.to_string())
-        .raw("max_shard", stats.max_shard.to_string())
-        .raw("hits", stats.hits.to_string())
-        .raw("warm_hits", stats.warm_hits.to_string())
-        .raw("hot_hits", stats.hot_hits.to_string())
-        .raw("misses", stats.misses.to_string())
-        .raw("hit_rate", format!("{:.4}", stats.hit_rate))
-        .raw(
-            "serial_hit_rate",
-            format!("{:.4}", serial_cache.stats().hit_rate),
-        )
-        .render();
-    let mut json = JsonObj::new()
-        .str("model", &model_name)
-        .str("budget", &budget.name)
-        .raw("hw_iters", iters.hw_iters.to_string())
-        .raw("seg_iters", iters.seg_iters.to_string())
-        .raw("seed", iters.seed.to_string())
-        .raw("threads", threads.to_string())
-        .raw("points", par_pts.len().to_string())
-        .raw("serial_s", format!("{serial_s:.6}"))
-        .raw("parallel_s", format!("{parallel_s:.6}"))
-        .raw("speedup", format!("{speedup:.3}"))
-        .raw("eval_throughput", &eval_throughput_json)
-        .raw("speedup_curve", &speedup_curve_json)
-        .raw("milp", &milp_json)
-        .raw("deterministic", deterministic.to_string())
-        .str("status", if complete { "complete" } else { "partial" })
-        .raw("faults_armed", faults_armed.to_string())
-        .raw("faults_injected", fault_log.len().to_string())
-        .raw(
-            "fault_log",
-            format!(
-                "[{}]",
-                fault_log
-                    .iter()
-                    .map(|f| format!("\"{f}\""))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ),
-        )
-        .raw("cache", cache_json.trim_end());
+    let cache_json = obj(vec![
+        ("entries", Json::from(stats.entries)),
+        ("shards", Json::from(stats.shards)),
+        ("max_shard", Json::from(stats.max_shard)),
+        ("hits", Json::from(stats.hits)),
+        ("warm_hits", Json::from(stats.warm_hits)),
+        ("hot_hits", Json::from(stats.hot_hits)),
+        ("misses", Json::from(stats.misses)),
+        ("hit_rate", fixed(stats.hit_rate, 4)),
+        ("serial_hit_rate", fixed(serial_cache.stats().hit_rate, 4)),
+    ]);
+    let fault_log_json = fault_log.iter().map(|f| Json::from(f.as_str())).collect();
     // End-of-run obs report: rendered to stderr and embedded in the JSON
     // (null when OBS_LEVEL=off, the default).
-    json = match obs::finish() {
-        Some(report) => json.raw("obs", report.to_json()),
-        None => json.raw("obs", "null"),
-    };
-    write_text("BENCH_dse.json", &json.render());
+    let obs_json = obs::finish().map_or(Json::Null, |report| report.to_json());
+    let json = obj(vec![
+        ("model", Json::from(model_name.as_str())),
+        ("budget", Json::from(budget.name.as_str())),
+        ("hw_iters", Json::from(iters.hw_iters)),
+        ("seg_iters", Json::from(iters.seg_iters)),
+        ("seed", Json::from(iters.seed)),
+        ("threads", Json::from(threads)),
+        ("points", Json::from(par_pts.len())),
+        ("serial_s", fixed(serial_s, 6)),
+        ("parallel_s", fixed(parallel_s, 6)),
+        ("speedup", fixed(speedup, 3)),
+        ("eval_throughput", eval_throughput_json),
+        ("speedup_curve", speedup_curve_json),
+        ("milp", milp_json),
+        ("deterministic", Json::from(deterministic)),
+        (
+            "status",
+            Json::from(if complete { "complete" } else { "partial" }),
+        ),
+        ("faults_armed", Json::from(faults_armed)),
+        ("faults_injected", Json::from(fault_log.len())),
+        ("fault_log", Json::Arr(fault_log_json)),
+        ("cache", cache_json),
+        ("obs", obs_json),
+    ]);
+    write_text("BENCH_dse.json", &format!("{}\n", json.pretty()));
 }

@@ -118,47 +118,6 @@ pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) {
     write_text(name, &out);
 }
 
-/// Minimal JSON-object builder for the experiments' flat result files
-/// (the workspace carries no JSON serializer; schemas are small).
-///
-/// Values passed to [`JsonObj::raw`] are emitted verbatim — numbers,
-/// booleans, or pre-serialized objects like an obs report.
-#[derive(Debug, Default)]
-pub struct JsonObj {
-    fields: Vec<(String, String)>,
-}
-
-impl JsonObj {
-    /// An empty object.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a field whose value is already valid JSON.
-    pub fn raw(mut self, key: &str, value: impl Into<String>) -> Self {
-        self.fields.push((key.to_string(), value.into()));
-        self
-    }
-
-    /// Adds a string field (quoted; assumes no characters needing escape,
-    /// which holds for model/budget names).
-    pub fn str(self, key: &str, value: &str) -> Self {
-        let quoted = format!("\"{value}\"");
-        self.raw(key, quoted)
-    }
-
-    /// Serializes with one field per line.
-    pub fn render(&self) -> String {
-        let mut out = String::from("{\n");
-        for (i, (k, v)) in self.fields.iter().enumerate() {
-            out.push_str(&format!("  \"{k}\": {v}"));
-            out.push_str(if i + 1 < self.fields.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("}\n");
-        out
-    }
-}
-
 /// Prints an aligned text table.
 pub fn print_table(header: &[&str], rows: &[Vec<String>]) {
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
@@ -276,19 +235,6 @@ mod tests {
         for g in fig12_models() {
             assert_ne!(short_name(g.name()), "");
         }
-    }
-
-    #[test]
-    fn json_obj_renders_flat_objects() {
-        let j = JsonObj::new()
-            .str("model", "alexnet")
-            .raw("threads", "4")
-            .raw("cache", "{\"hits\": 1}")
-            .render();
-        assert!(j.starts_with("{\n") && j.ends_with("}\n"));
-        assert!(j.contains("\"model\": \"alexnet\","));
-        assert!(j.contains("\"cache\": {\"hits\": 1}\n"), "{j}");
-        assert_eq!(JsonObj::new().render(), "{\n}\n");
     }
 
     #[test]

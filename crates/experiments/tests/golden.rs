@@ -21,6 +21,7 @@
 //! the `CARGO_BIN_EXE_*` values baked in at compile time, so a missing
 //! binary fails the build rather than skipping a case.
 
+use obs::json::Json;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -228,131 +229,34 @@ const JSON_VALUE_SKIP_LEAVES: &[&str] = &[
     "warm_hit_rate",
 ];
 
-/// Minimal JSON reader, sufficient for the reports the experiment
-/// binaries render (objects, arrays, strings without escapes beyond
-/// `\"`, numbers, booleans, null). Flattens to `(path, token)` leaves.
+/// Flattens a JSON document to `(path, leaf)` pairs: object fields by
+/// dot-separated key (`cache.entries`), array elements by index
+/// (`fault_log[0]`), leaves and empty containers as their compact JSON
+/// text.
 fn flatten_json(text: &str) -> Result<Vec<(String, String)>, String> {
-    struct P<'a> {
-        b: &'a [u8],
-        i: usize,
-    }
-    impl<'a> P<'a> {
-        fn ws(&mut self) {
-            while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-                self.i += 1;
-            }
-        }
-        fn peek(&mut self) -> Option<u8> {
-            self.ws();
-            self.b.get(self.i).copied()
-        }
-        fn expect(&mut self, c: u8) -> Result<(), String> {
-            if self.peek() == Some(c) {
-                self.i += 1;
-                Ok(())
-            } else {
-                Err(format!("expected {:?} at byte {}", char::from(c), self.i))
-            }
-        }
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let start = self.i;
-            while self.i < self.b.len() {
-                match self.b[self.i] {
-                    b'\\' => self.i += 2,
-                    b'"' => {
-                        let s = String::from_utf8_lossy(&self.b[start..self.i]).into_owned();
-                        self.i += 1;
-                        return Ok(s);
-                    }
-                    _ => self.i += 1,
+    fn walk(v: &Json, path: String, out: &mut Vec<(String, String)>) {
+        match v {
+            Json::Obj(fields) if !fields.is_empty() => {
+                for (k, v) in fields {
+                    let sub = if path.is_empty() {
+                        k.clone()
+                    } else {
+                        format!("{path}.{k}")
+                    };
+                    walk(v, sub, out);
                 }
             }
-            Err("unterminated string".into())
-        }
-        fn value(&mut self, path: &str, out: &mut Vec<(String, String)>) -> Result<(), String> {
-            match self.peek().ok_or("unexpected end of input")? {
-                b'{' => {
-                    self.i += 1;
-                    if self.peek() == Some(b'}') {
-                        self.i += 1;
-                        out.push((path.to_string(), "{}".into()));
-                        return Ok(());
-                    }
-                    loop {
-                        let key = self.string()?;
-                        self.expect(b':')?;
-                        let sub = if path.is_empty() {
-                            key
-                        } else {
-                            format!("{path}.{key}")
-                        };
-                        self.value(&sub, out)?;
-                        match self.peek() {
-                            Some(b',') => self.i += 1,
-                            Some(b'}') => {
-                                self.i += 1;
-                                return Ok(());
-                            }
-                            _ => return Err(format!("malformed object near byte {}", self.i)),
-                        }
-                    }
-                }
-                b'[' => {
-                    self.i += 1;
-                    if self.peek() == Some(b']') {
-                        self.i += 1;
-                        out.push((path.to_string(), "[]".into()));
-                        return Ok(());
-                    }
-                    let mut idx = 0usize;
-                    loop {
-                        self.value(&format!("{path}[{idx}]"), out)?;
-                        idx += 1;
-                        match self.peek() {
-                            Some(b',') => self.i += 1,
-                            Some(b']') => {
-                                self.i += 1;
-                                return Ok(());
-                            }
-                            _ => return Err(format!("malformed array near byte {}", self.i)),
-                        }
-                    }
-                }
-                b'"' => {
-                    let s = self.string()?;
-                    out.push((path.to_string(), format!("\"{s}\"")));
-                    Ok(())
-                }
-                _ => {
-                    self.ws();
-                    let start = self.i;
-                    while self.i < self.b.len()
-                        && !matches!(self.b[self.i], b',' | b'}' | b']')
-                        && !self.b[self.i].is_ascii_whitespace()
-                    {
-                        self.i += 1;
-                    }
-                    if start == self.i {
-                        return Err(format!("empty value at byte {start}"));
-                    }
-                    let tok = String::from_utf8_lossy(&self.b[start..self.i]).into_owned();
-                    out.push((path.to_string(), tok));
-                    Ok(())
+            Json::Arr(items) if !items.is_empty() => {
+                for (i, v) in items.iter().enumerate() {
+                    walk(v, format!("{path}[{i}]"), out);
                 }
             }
+            leaf => out.push((path, leaf.render())),
         }
     }
-    let mut p = P {
-        b: text.as_bytes(),
-        i: 0,
-    };
+    let doc = obs::json::parse(text).map_err(|e| e.to_string())?;
     let mut out = Vec::new();
-    p.value("", &mut out)?;
-    p.ws();
-    if p.i != p.b.len() {
-        return Err(format!("trailing bytes after document at byte {}", p.i));
-    }
+    walk(&doc, String::new(), &mut out);
     Ok(out)
 }
 
@@ -674,6 +578,11 @@ fn json_flattener_handles_the_report_shapes() {
     assert!(flatten_json("[1, 2]").is_ok(), "top-level arrays parse");
     assert!(flatten_json("{\"a\": 1} trailing").is_err());
     assert!(flatten_json("{\"a\": }").is_err());
+    // Not JSON, so never a passing artifact: non-finite numbers and
+    // unknown escapes.
+    for bad in [r#"{"a": inf}"#, r#"{"a": NaN}"#, r#"{"a": "\q"}"#] {
+        assert!(flatten_json(bad).is_err(), "{bad} must not parse");
+    }
     // Ancestor skipping: `obs` covers `obs.spans[3]` but not `obsolete`.
     assert!(json_value_skipped("obs"));
     assert!(json_value_skipped("obs.spans[3]"));
@@ -741,6 +650,7 @@ fn lint_artifacts_have_schema2_keys() {
         "\"reentrant-lock\"",
         "\"untraced-spawn\"",
         "\"semantic\"",
+        "\"code_lines\"",
     ] {
         assert!(json.contains(key), "{key} missing from results/LINT.json");
     }

@@ -1,5 +1,5 @@
-//! The workspace's one pseudo-random generator, and a seeded property-case
-//! runner built on it.
+//! The workspace's one pseudo-random generator, its one hash, and a
+//! seeded property-case runner built on them.
 //!
 //! [`SplitMix64`] (Steele, Lea and Flood, OOPSLA 2014) is a 64-bit counter
 //! advanced by the golden-ratio increment and finished with a 64-bit
@@ -9,11 +9,53 @@
 //! produced with this exact stream; the unit tests below pin the first
 //! draws of each method and must never be re-blessed.
 //!
+//! [`fnv1a`] is the 64-bit FNV-1a hash and [`mix64`] the SplitMix64
+//! finalizer. Both are stable across processes, platforms and runs (the
+//! property a per-process seeded `SipHash` deliberately lacks), so
+//! persisted values — checkpoint footers, energy-model fingerprints,
+//! consistent-hash ring points, codesign digests — are built from them.
+//!
 //! [`check`] runs a property over seeded random cases, counts only the
 //! cases the property accepts, and names the seed and case index of a
 //! failing case.
 
 use std::panic::{self, AssertUnwindSafe};
+
+/// The 64-bit FNV-1a offset basis: the hash of the empty input.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The 64-bit FNV-1a prime.
+pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// The golden-ratio increment of the SplitMix64 counter.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// 64-bit FNV-1a over `bytes`.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(FNV_OFFSET, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+    })
+}
+
+/// The SplitMix64 finalizer: a bijective 64-bit avalanche mixer. Every
+/// input bit affects every output bit, so near-identical inputs (the
+/// FNV-1a hashes of `key-41` and `key-42`) land far apart.
+pub fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Derives a per-candidate RNG seed from a base seed and a candidate
+/// index. Seeds for distinct indices are decorrelated, and the mapping
+/// depends only on `(base, index)` — never on evaluation order — keeping
+/// parallel sweeps bit-reproducible.
+pub fn split_seed(base: u64, index: u64) -> u64 {
+    mix64(
+        base.wrapping_add(GAMMA)
+            .wrapping_add(index.wrapping_mul(0xBF58_476D_1CE4_E5B9)),
+    )
+}
 
 /// SplitMix64: seedable, deterministic, 2^64 period.
 #[derive(Debug, Clone)]
@@ -27,11 +69,8 @@ impl SplitMix64 {
 
     /// The next 64 uniformly distributed bits.
     pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.0 = self.0.wrapping_add(GAMMA);
+        mix64(self.0)
     }
 
     /// A draw in `0..n`, as `next_u64() % n`. The modulo bias is below
@@ -204,6 +243,25 @@ mod tests {
         }
         assert_eq!(SplitMix64::new(0).permutation(8), [2, 5, 0, 3, 4, 6, 1, 7]);
         assert_eq!(SplitMix64::new(42).permutation(8), [3, 1, 6, 2, 4, 0, 7, 5]);
+    }
+
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        // Published FNV-1a 64 test vectors.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn split_seed_values_are_pinned() {
+        // Seeds of the committed codesign goldens; do not re-bless.
+        assert_eq!(split_seed(7, 0), 0x63cb_e1e4_5932_0dd7);
+        assert_eq!(split_seed(7, 3), 0xbeeb_cdfd_ae18_dfaf);
+        assert_eq!(split_seed(42, 1), 0xf9be_c387_5b67_5235);
+        assert_eq!(split_seed(42, 1000), 0x21bf_b843_330a_908a);
+        // Index 0 is the first draw of the base seed's stream.
+        assert_eq!(split_seed(42, 0), SplitMix64::new(42).next_u64());
     }
 
     #[test]

@@ -106,6 +106,9 @@ pub struct Report {
     /// Rendered `results/LOCKS.txt` content (empty for single-source
     /// scans).
     pub locks_txt: String,
+    /// Per crate, the lines of its scanned files on which a non-comment
+    /// token starts (blank and comment-only lines do not count).
+    pub code_lines: BTreeMap<String, usize>,
 }
 
 /// Which analysis layer a rule belongs to (1 = token rules, 3 =
@@ -160,7 +163,8 @@ impl Report {
     }
 
     /// Renders the machine-readable JSON document (schema 2: totals,
-    /// per-layer counts, rule -> counts) written to `results/LINT.json`.
+    /// per-layer counts, rule -> counts, crate -> code lines) written to
+    /// `results/LINT.json`.
     pub fn to_json(&self, semantic: Option<&semantic::SemanticReport>) -> String {
         let counts = self.rule_counts();
         let (l1f, l1w) = self.layer_totals(1);
@@ -195,6 +199,14 @@ impl Report {
                 "    \"{rule}\": {{\"findings\": {}, \"waived\": {}}}{}\n",
                 c.findings,
                 c.waived,
+                if i + 1 < n { "," } else { "" }
+            ));
+        }
+        s.push_str("  },\n  \"code_lines\": {\n");
+        let n = self.code_lines.len();
+        for (i, (krate, lines)) in self.code_lines.iter().enumerate() {
+            s.push_str(&format!(
+                "    \"{krate}\": {lines}{}\n",
                 if i + 1 < n { "," } else { "" }
             ));
         }
@@ -350,6 +362,15 @@ pub fn scan_sources(sources: Vec<(PathBuf, String, FileCtx)>) -> Report {
         files_scanned: files.len(),
         ..Report::default()
     };
+    for file in &files {
+        // Tokens are in source order, so their lines never decrease.
+        let mut lines: Vec<u32> = file.lexed.tokens.iter().map(|t| t.line).collect();
+        lines.dedup();
+        *report
+            .code_lines
+            .entry(file.ctx.crate_name.clone())
+            .or_default() += lines.len();
+    }
     // Layer 1: per-file token rules.
     for (fi, file) in files.iter().enumerate() {
         for RawFinding { rule, line, message } in rules::check(&file.lexed, &file.ctx) {
@@ -534,10 +555,15 @@ mod tests {
         let report = Report {
             files_scanned: 1,
             findings,
+            code_lines: [("autoseg".to_string(), 1), ("obs".to_string(), 2)].into(),
             ..Report::default()
         };
         let json = report.to_json(None);
         assert!(json.contains("\"schema\": 2"));
+        assert!(
+            json.contains("\"code_lines\": {\n    \"autoseg\": 1,\n    \"obs\": 2\n  }"),
+            "{json}"
+        );
         assert!(json.contains("\"nondet-iter\": {\"findings\": 1, \"waived\": 0}"));
         assert!(json.contains("\"total_findings\": 1"));
         assert!(json.contains("\"source\": {\"findings\": 1, \"waived\": 0}"));
@@ -573,5 +599,6 @@ mod tests {
         );
         assert!(!report.graph.cycles.is_empty());
         assert!(report.locks_txt.contains("x::S::a"));
+        assert_eq!(report.code_lines["x"], 5, "one code line per source line");
     }
 }

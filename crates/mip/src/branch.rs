@@ -20,10 +20,11 @@
 //! 3. **Wave-parallel search**: open nodes are expanded in *waves* of at
 //!    most [`WAVE`] child LPs. Node selection, pruning, and incumbent
 //!    updates happen serially in a fixed order; only the (pure,
-//!    per-task deterministic) LP solves are fanned out on a
-//!    [`NodePool`]. The wave size is a constant — never a function of
-//!    the thread count — so the explored tree, the incumbent sequence,
-//!    and every reported number are bit-identical at any thread count.
+//!    per-task deterministic) LP solves are fanned out on the workspace
+//!    worker pool, [`DsePool`]. The wave size is a constant — never a
+//!    function of the thread count — so the explored tree, the incumbent
+//!    sequence, and every reported number are bit-identical at any
+//!    thread count.
 //!
 //! # Deterministic incumbent protocol
 //!
@@ -45,11 +46,9 @@ use crate::problem::{MipError, Problem, Sense, VarKind};
 use crate::simplex::{solve_lp, Basis, LpOutcome, LpSolve};
 use crate::warmstart::{solve_lp_warm, Warm};
 use crate::{Solution, SolveStatus};
+use obs::pool::DsePool;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::Mutex;
-use std::thread;
 // Wall-clock reads feed only the optional `time_limit` cut-off, never the
 // search order or the incumbent; lint: allow(nondet-time)
 use std::time::{Duration, Instant};
@@ -105,125 +104,18 @@ pub struct SolveStats {
     pub presolve: PresolveStats,
 }
 
-/// Execution substrate for one wave of node relaxations.
-///
-/// `run` must call `eval(i)` exactly once for each `i in 0..tasks` and
-/// return the results in task order. `eval` is pure per index, so any
-/// scheduling (including fully serial) yields identical results; a pool
-/// may return a lost sentinel (`eval` result withheld) for a task whose
-/// worker died — the engine re-evaluates it inline.
-pub trait NodePool {
-    /// Worker count (1 = serial).
-    fn threads(&self) -> usize;
-    /// Evaluates `tasks` tasks, returning results in task order.
-    fn run(&self, tasks: usize, eval: &(dyn Fn(usize) -> WaveEval + Sync)) -> Vec<WaveEval>;
-}
-
-/// Opaque result of one node-relaxation task. Constructed only by the
-/// engine's task closure; pools just move it around.
-#[derive(Debug)]
-pub struct WaveEval {
-    pub(crate) inner: Option<TaskOut>,
-}
-
 /// How a task's relaxation was obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WarmTag {
+enum WarmTag {
     Hit,
     Reject,
     Cold,
 }
 
-#[derive(Debug)]
-pub(crate) struct TaskOut {
-    pub result: Result<LpSolve, MipError>,
-    pub warm: WarmTag,
-}
-
-/// The built-in scoped-thread pool used by [`Solver::solve`]: a minimal
-/// sibling of `autoseg::dse::DsePool` (same order-preserving,
-/// index-driven contract) so `mip` stays dependency-free. Sized by
-/// [`Solver::threads`] (the `MIP_THREADS` environment variable by
-/// default).
-#[derive(Debug, Clone, Copy)]
-pub struct BuiltinPool {
-    threads: usize,
-}
-
-impl BuiltinPool {
-    /// A pool running `threads` workers (minimum 1; 1 = fully serial).
-    pub fn new(threads: usize) -> Self {
-        Self {
-            threads: threads.max(1),
-        }
-    }
-}
-
-impl NodePool for BuiltinPool {
-    fn threads(&self) -> usize {
-        self.threads
-    }
-
-    fn run(&self, tasks: usize, eval: &(dyn Fn(usize) -> WaveEval + Sync)) -> Vec<WaveEval> {
-        if self.threads <= 1 || tasks <= 1 {
-            return (0..tasks).map(eval).collect();
-        }
-        let slots: Vec<Mutex<Option<WaveEval>>> = (0..tasks).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let workers = self.threads.min(tasks);
-        // The trace id is thread-local: re-set the caller's id in every
-        // worker so telemetry emitted inside node evaluation stays
-        // attributed to the request that fanned out.
-        let trace = obs::current_trace();
-        thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    obs::set_trace(trace);
-                    loop {
-                        let i = next.fetch_add(1, AtomicOrdering::Relaxed);
-                        if i >= tasks {
-                            break;
-                        }
-                        // Each slot is written exactly once, so a panic in
-                        // another worker cannot leave it half-written.
-                        *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(eval(i));
-                    }
-                });
-            }
-        });
-        // A slot left empty (a worker died between claiming and writing)
-        // becomes the lost sentinel; the engine's fixed-order recovery
-        // pass re-evaluates it inline.
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .unwrap_or(WaveEval { inner: None })
-            })
-            .collect()
-    }
-}
-
-/// The default thread count for the built-in pool: the `MIP_THREADS`
-/// environment variable if set to a positive integer, otherwise 1
-/// (serial). The engine is bit-identical at any value; this only sets
-/// how wide each wave fans out.
-pub fn default_threads() -> usize {
-    std::env::var("MIP_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
-/// `true` unless `MIP_PRESOLVE` is set to `off`/`0`/`false` (the escape
-/// hatch for debugging a suspected presolve reduction).
-fn presolve_default() -> bool {
-    !matches!(
-        std::env::var("MIP_PRESOLVE").ok().as_deref().map(str::trim),
-        Some("off" | "0" | "false")
-    )
+/// Result of one node-relaxation task.
+struct TaskOut {
+    result: Result<LpSolve, MipError>,
+    warm: WarmTag,
 }
 
 /// MILP solver: best-first branch & bound on the simplex relaxation,
@@ -249,9 +141,9 @@ impl Default for Solver {
             limits: SolverLimits::default(),
             warm_start: None,
             root_basis: None,
-            presolve: presolve_default(),
+            presolve: true,
             warm_lp: true,
-            threads: default_threads(),
+            threads: 1,
         }
     }
 }
@@ -343,8 +235,7 @@ impl Solver {
         self
     }
 
-    /// Enables or disables the presolve pass (default: on unless
-    /// `MIP_PRESOLVE=off`).
+    /// Enables or disables the presolve pass (default: on).
     pub fn presolve(mut self, on: bool) -> Self {
         self.presolve = on;
         self
@@ -356,7 +247,8 @@ impl Solver {
         self
     }
 
-    /// Sets the built-in pool's worker count (default: [`default_threads`]).
+    /// Sets the worker count [`Solver::solve`] fans waves out on
+    /// (default: 1, serial).
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
         self
@@ -367,30 +259,24 @@ impl Solver {
         self.limits
     }
 
-    /// Solves the MILP on the built-in pool (sized by
-    /// [`Solver::threads`], i.e. `MIP_THREADS`).
+    /// Solves the MILP on a [`DsePool`] of [`Solver::threads`] workers.
     ///
     /// # Errors
     ///
     /// Returns [`MipError`] if the problem fails validation (inverted
     /// bounds, unknown variables, non-finite data).
     pub fn solve(&self, p: &Problem) -> Result<Solution, MipError> {
-        let pool = BuiltinPool::new(self.threads);
-        self.solve_with_pool(p, &pool)
+        self.solve_with_pool(p, &DsePool::new(self.threads))
     }
 
     /// Solves the MILP, fanning each wave of node relaxations out on
     /// `pool`. The result is bit-identical to [`Solver::solve`] for any
-    /// pool.
+    /// pool width.
     ///
     /// # Errors
     ///
     /// Returns [`MipError`] if the problem fails validation.
-    pub fn solve_with_pool<P: NodePool + ?Sized>(
-        &self,
-        p: &Problem,
-        pool: &P,
-    ) -> Result<Solution, MipError> {
+    pub fn solve_with_pool(&self, p: &Problem, pool: &DsePool) -> Result<Solution, MipError> {
         p.validate()?;
         let _span = obs::span!("mip.solve", vars = p.num_vars(), threads = pool.threads());
         let start = Instant::now(); // time_limit cut-off only; lint: allow(nondet-time)
@@ -623,8 +509,8 @@ impl Solver {
             // ---- Parallel evaluation: pure per-task LP solves. ----
             stats.waves += 1;
             let warm_lp = self.warm_lp;
-            let eval_task = |t: &Task| -> WaveEval {
-                let out = match (&t.parent_basis, warm_lp) {
+            let eval_task = |t: &Task| -> TaskOut {
+                match (&t.parent_basis, warm_lp) {
                     (Some(basis), true) => match solve_lp_warm(q, &t.bounds, basis) {
                         Ok(Warm::Hit(ls)) => TaskOut {
                             result: Ok(ls),
@@ -643,36 +529,31 @@ impl Solver {
                         result: solve_lp(q, &t.bounds),
                         warm: WarmTag::Cold,
                     },
-                };
-                WaveEval { inner: Some(out) }
+                }
             };
-            let mut evals = pool.run(tasks.len(), &|i| {
+            let mut evals: Vec<Option<TaskOut>> = pool.par_map(&tasks, |_, t| {
                 // `mip.node` fault point: a scripted mid-wave worker death
                 // loses this task's result; the fixed-order recovery pass
                 // below recomputes it inline, bit-identically.
-                if faultsim::armed() && faultsim::hit_at("mip.node", tasks[i].fault_idx) {
+                if faultsim::armed() && faultsim::hit_at("mip.node", t.fault_idx) {
                     record_fault("fault.injected");
-                    return WaveEval { inner: None };
+                    return None;
                 }
-                eval_task(&tasks[i])
+                Some(eval_task(t))
             });
-            // Defensive: a pool returning the wrong shape loses tasks.
-            while evals.len() < tasks.len() {
-                evals.push(WaveEval { inner: None });
-            }
 
             // ---- Fixed-order recovery: lost tasks re-evaluate inline, so
             // a worker fault never changes the result. ----
             for (ev, task) in evals.iter_mut().zip(&tasks) {
-                if ev.inner.is_none() {
+                if ev.is_none() {
                     record_fault("fault.recovered");
-                    *ev = eval_task(task);
+                    *ev = Some(eval_task(task));
                 }
             }
 
             // ---- Serial application, in task order. ----
             for (ev, task) in evals.into_iter().zip(tasks) {
-                let Some(out) = ev.inner else { continue };
+                let Some(out) = ev else { continue };
                 match out.warm {
                     WarmTag::Hit => {
                         stats.warm_hits += 1;

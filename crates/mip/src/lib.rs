@@ -38,7 +38,7 @@ mod problem;
 mod simplex;
 mod warmstart;
 
-pub use branch::{default_threads, BuiltinPool, NodePool, SolveStats, Solver, SolverLimits, WaveEval};
+pub use branch::{SolveStats, Solver, SolverLimits};
 pub use expr::{LinExpr, VarId};
 pub use presolve::{presolve, Presolved, PresolveResult, PresolveStats};
 pub use problem::{Cmp, Constraint, MipError, Problem, Sense, VarKind};

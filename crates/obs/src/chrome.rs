@@ -89,8 +89,8 @@ pub(crate) fn span_event(name: &str, ts_ns: u64, dur_ns: u64, trace: u64) {
     let mut e = String::with_capacity(96);
     let _ = write!(
         e,
-        "{{\"ph\":\"X\",\"name\":\"{}\",\"cat\":\"span\",\"ts\":{:.3},\"dur\":{:.3},\"pid\":{},\"tid\":{}",
-        crate::sink::json_escape(name),
+        "{{\"ph\":\"X\",\"name\":{},\"cat\":\"span\",\"ts\":{:.3},\"dur\":{:.3},\"pid\":{},\"tid\":{}",
+        crate::json::quote(name),
         ts_ns as f64 / 1e3,
         dur_ns as f64 / 1e3,
         std::process::id(),

@@ -31,6 +31,7 @@
 //! `off` disables the recorder entirely ([`note`] becomes one relaxed
 //! load). [`configure`] overrides in-process (benches, tests).
 
+use crate::json::{obj, Json};
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Once, OnceLock};
@@ -61,28 +62,23 @@ pub struct FlightDump {
 }
 
 impl FlightDump {
-    /// Sorted-key JSON form (keys alphabetical at every level), so two
-    /// dumps of the same state are byte-identical.
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = write!(out, "{{\"dropped\":{},\"events\":[", self.dropped);
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"a\":{},\"b\":{},\"name\":\"{}\",\"seq\":{},\"trace\":{}}}",
-                e.a,
-                e.b,
-                crate::sink::json_escape(e.name),
-                e.seq,
-                e.trace
-            );
-        }
-        out.push_str("]}");
-        out
+    /// JSON form. Its rendering sorts keys at every level, so two dumps of
+    /// the same state are byte-identical. Payload words above 2^53 (the
+    /// fault hook's `u64::MAX` marker) are rounded to the nearest `f64`.
+    pub fn to_json(&self) -> Json {
+        let events = self.events.iter().map(|e| {
+            obj(vec![
+                ("a", Json::from(e.a)),
+                ("b", Json::from(e.b)),
+                ("name", Json::from(e.name)),
+                ("seq", Json::from(e.seq)),
+                ("trace", Json::from(e.trace)),
+            ])
+        });
+        obj(vec![
+            ("dropped", Json::from(self.dropped)),
+            ("events", Json::Arr(events.collect())),
+        ])
     }
 }
 
@@ -354,7 +350,10 @@ fn sink_dump(dump: &FlightDump) -> bool {
         crate::sink::record_error();
         return false;
     }
-    crate::sink::write_line(&format!("{{\"t\":\"flight\",\"flight\":{}}}", dump.to_json()));
+    crate::sink::write_line(&format!(
+        "{{\"t\":\"flight\",\"flight\":{}}}",
+        dump.to_json().render()
+    ));
     true
 }
 
@@ -377,7 +376,7 @@ pub fn install_panic_hook() {
                     "flight recorder ({} events, {} dropped): {}",
                     dump.events.len(),
                     dump.dropped,
-                    dump.to_json()
+                    dump.to_json().render()
                 );
                 let _ = sink_dump(&dump);
             }
@@ -481,8 +480,8 @@ mod tests {
         reset();
         note("json", 7, 8);
         let d = drain();
-        let j1 = d.to_json();
-        let j2 = d.to_json();
+        let j1 = d.to_json().render();
+        let j2 = d.to_json().render();
         assert_eq!(j1, j2);
         assert!(j1.starts_with("{\"dropped\":"));
         assert!(j1.contains("\"a\":7,\"b\":8,\"name\":\"json\""));

@@ -1,7 +1,12 @@
 //! Structured observability for the AutoSeg DSE and SPA simulators:
 //! hierarchical timing spans, counters, histograms, a JSONL event sink
-//! and an end-of-run summary report — std-only, no external dependencies
-//! (the same philosophy as `autoseg::dse::DsePool`).
+//! and an end-of-run summary report — std-only, no external dependencies.
+//!
+//! Two pieces of shared infrastructure live here too, because every
+//! crate that needs them already depends on `obs`: [`json`], the
+//! workspace's one JSON value, parser and writer, and [`pool`], the one
+//! worker pool (whose spans, trace propagation and fault point are obs
+//! and faultsim hooks).
 //!
 //! # Model
 //!
@@ -65,6 +70,8 @@
 pub mod chrome;
 pub mod flight;
 mod hdr;
+pub mod json;
+pub mod pool;
 mod report;
 mod sink;
 
@@ -482,18 +489,15 @@ impl Drop for SpanGuard {
                 }
             });
             let mut line = format!(
-                "{{\"t\":\"span\",\"name\":\"{}\",\"ts_ns\":{},\"dur_ns\":{},\"self_ns\":{},\"depth\":{}",
-                sink::json_escape(span.name),
+                "{{\"t\":\"span\",\"name\":{},\"ts_ns\":{},\"dur_ns\":{},\"self_ns\":{},\"depth\":{}",
+                json::quote(span.name),
                 since_epoch_ns().saturating_sub(dur_ns),
                 dur_ns,
                 self_ns,
                 depth,
             );
             if !attrs.is_empty() {
-                line.push_str(&format!(
-                    ",\"attrs\":\"{}\"",
-                    sink::json_escape(attrs.trim_end())
-                ));
+                line.push_str(&format!(",\"attrs\":{}", json::quote(attrs.trim_end())));
             }
             line.push('}');
             sink::write_line(&line);
@@ -596,7 +600,7 @@ impl V {
             V::I(v) => v.to_string(),
             V::F(v) if v.is_finite() => format!("{v}"),
             V::F(_) => "null".to_string(),
-            V::S(s) => format!("\"{}\"", sink::json_escape(s)),
+            V::S(s) => json::quote(s),
             V::B(b) => b.to_string(),
         }
     }
@@ -613,12 +617,12 @@ pub fn event(name: &'static str, fields: &[(&str, V)]) {
         return;
     }
     let mut line = format!(
-        "{{\"t\":\"event\",\"name\":\"{}\",\"ts_ns\":{}",
-        sink::json_escape(name),
+        "{{\"t\":\"event\",\"name\":{},\"ts_ns\":{}",
+        json::quote(name),
         since_epoch_ns()
     );
     for (k, v) in fields {
-        line.push_str(&format!(",\"{}\":{}", sink::json_escape(k), v.to_json()));
+        line.push_str(&format!(",{}:{}", json::quote(k), v.to_json()));
     }
     line.push('}');
     sink::write_line(&line);
@@ -635,7 +639,7 @@ pub fn finish() -> Option<Report> {
     let report = snapshot();
     sink::write_line(&format!(
         "{{\"t\":\"summary\",\"report\":{}}}",
-        report.to_json()
+        report.to_json().render()
     ));
     sink::flush();
     chrome::flush();

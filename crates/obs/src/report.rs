@@ -1,8 +1,7 @@
 //! End-of-run summary report: merged span/counter/histogram tables with
-//! a stderr renderer and a hand-rolled JSON form (the workspace carries
-//! no JSON serializer; the schema is flat).
+//! a stderr renderer and a JSON form.
 
-use crate::sink::json_escape;
+use crate::json::{obj, Json};
 use crate::{HdrHist, Hist, SpanStat};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -253,70 +252,54 @@ impl Report {
         out
     }
 
-    /// Serializes the whole report as one JSON object (embedded into
-    /// `bench_dse`'s output and the sink's final summary line).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(out, "\"wall_ns\":{},\"spans\":[", self.wall_ns);
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"count\":{},\"total_ns\":{},\"self_ns\":{}}}",
-                json_escape(&s.name),
-                s.count,
-                s.total_ns,
-                s.self_ns
-            );
-        }
-        out.push_str("],\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":{}", json_escape(k), v);
-        }
-        out.push_str("},\"hists\":[");
-        for (i, h) in self.hists.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"count\":{},\"sum\":{},\"min\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"max\":{},\"approx\":true}}",
-                json_escape(&h.name),
-                h.count,
-                h.sum,
-                h.min,
-                h.p50,
-                h.p95,
-                h.p99,
-                h.max
-            );
-        }
-        out.push_str("],\"hdrs\":[");
-        for (i, h) in self.hdrs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"count\":{},\"sum\":{},\"min\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"p999\":{},\"max\":{}}}",
-                json_escape(&h.name),
-                h.count,
-                h.sum,
-                h.min,
-                h.p50,
-                h.p90,
-                h.p99,
-                h.p999,
-                h.max
-            );
-        }
-        out.push_str("]}");
-        out
+    /// The whole report as one JSON object (embedded into `bench_dse`'s
+    /// output and the sink's final summary line).
+    pub fn to_json(&self) -> Json {
+        let spans = self.spans.iter().map(|s| {
+            obj(vec![
+                ("name", Json::from(s.name.as_str())),
+                ("count", Json::from(s.count)),
+                ("total_ns", Json::from(s.total_ns)),
+                ("self_ns", Json::from(s.self_ns)),
+            ])
+        });
+        let counters = self
+            .counters
+            .iter()
+            .map(|(k, v)| (k.clone(), Json::from(*v)));
+        let hists = self.hists.iter().map(|h| {
+            obj(vec![
+                ("name", Json::from(h.name.as_str())),
+                ("count", Json::from(h.count)),
+                ("sum", Json::from(h.sum)),
+                ("min", Json::from(h.min)),
+                ("p50", Json::from(h.p50)),
+                ("p95", Json::from(h.p95)),
+                ("p99", Json::from(h.p99)),
+                ("max", Json::from(h.max)),
+                ("approx", Json::from(true)),
+            ])
+        });
+        let hdrs = self.hdrs.iter().map(|h| {
+            obj(vec![
+                ("name", Json::from(h.name.as_str())),
+                ("count", Json::from(h.count)),
+                ("sum", Json::from(h.sum)),
+                ("min", Json::from(h.min)),
+                ("p50", Json::from(h.p50)),
+                ("p90", Json::from(h.p90)),
+                ("p99", Json::from(h.p99)),
+                ("p999", Json::from(h.p999)),
+                ("max", Json::from(h.max)),
+            ])
+        });
+        obj(vec![
+            ("wall_ns", Json::from(self.wall_ns)),
+            ("spans", Json::Arr(spans.collect())),
+            ("counters", Json::Obj(counters.collect())),
+            ("hists", Json::Arr(hists.collect())),
+            ("hdrs", Json::Arr(hdrs.collect())),
+        ])
     }
 }
 
@@ -412,14 +395,19 @@ mod tests {
     #[test]
     fn json_is_well_formed_and_complete() {
         let r = sample();
-        let j = r.to_json();
+        let j = r.to_json().render();
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"name\":\"hot\""));
         assert!(j.contains("\"cache.hits\":9"));
         assert!(j.contains("\"wall_ns\":1000000"));
         assert!(j.contains("\"approx\":true"));
         assert!(j.contains("\"p95\":"));
-        assert!(j.contains("\"hdrs\":[{\"name\":\"tail\""));
+        let hdrs = r.to_json().get("hdrs").cloned().expect("hdrs array");
+        let first = match hdrs {
+            Json::Arr(rows) => rows.into_iter().next().expect("one hdr row"),
+            other => panic!("hdrs is not an array: {other:?}"),
+        };
+        assert_eq!(first.get("name").and_then(Json::as_str), Some("tail"));
         assert!(j.contains("\"p999\":"));
         assert_eq!(
             j.matches('{').count(),
@@ -439,7 +427,7 @@ mod tests {
         );
         assert!(r.is_empty());
         assert!(r.render(5).contains("nothing recorded"));
-        assert!(r.to_json().contains("\"spans\":[]"));
-        assert!(r.to_json().contains("\"hdrs\":[]"));
+        assert!(r.to_json().render().contains("\"spans\":[]"));
+        assert!(r.to_json().render().contains("\"hdrs\":[]"));
     }
 }

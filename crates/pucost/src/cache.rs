@@ -559,19 +559,16 @@ impl EvalCache {
     /// under a different energy model is rejected instead of silently
     /// mixing evaluations from two models.
     pub fn model_fingerprint(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for bits in [
-            self.em.mac_pj.to_bits(),
-            self.em.sram_pj_per_byte.to_bits(),
-            self.em.psum_pj_per_byte.to_bits(),
-            self.em.dram_pj_per_byte.to_bits(),
-        ] {
-            for byte in bits.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
+        let bytes: Vec<u8> = [
+            self.em.mac_pj,
+            self.em.sram_pj_per_byte,
+            self.em.psum_pj_per_byte,
+            self.em.dram_pj_per_byte,
+        ]
+        .iter()
+        .flat_map(|x| x.to_bits().to_le_bytes())
+        .collect();
+        faultsim::rng::fnv1a(&bytes)
     }
 
     /// Serializes every cached entry to one text line each, sorted (the

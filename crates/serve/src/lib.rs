@@ -10,7 +10,8 @@
 //!
 //! Layering:
 //!
-//! * [`json`] — a tiny deterministic JSON value (std-only; sorted keys).
+//! * [`json`] — the workspace's JSON value, re-exported from [`obs::json`]
+//!   (std-only; sorted keys).
 //! * [`proto`] — the versioned request/response line protocol.
 //! * [`queue`] — admission control + priority scheduling (+ the fleet
 //!   [`queue::ShedPolicy`]).
@@ -40,7 +41,6 @@
 
 pub mod diskcache;
 pub mod fleet;
-pub mod json;
 pub mod proto;
 pub mod queue;
 pub mod ring;
@@ -48,6 +48,7 @@ pub mod router;
 pub mod server;
 pub mod testkit;
 
+pub use obs::json;
 pub use diskcache::DiskCache;
 pub use fleet::{run_fleet_socket, Fleet, FleetConfig};
 pub use json::Json;

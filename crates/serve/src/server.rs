@@ -25,9 +25,9 @@ use crate::proto::{
 };
 use crate::queue::{Admission, AdmitError, Queued};
 use autoseg::codesign::{run_codesign_with, CodesignBudgets, CodesignRun, DesignPoint, Method};
-use autoseg::dse::checkpoint::fnv64;
 use autoseg::dse::DsePool;
 use autoseg::{AutoSeg, RunCtl, RunStatus, StopReason};
+use faultsim::rng::{fnv1a, FNV_OFFSET, FNV_PRIME};
 use obs::HdrHist;
 use pucost::{Dataflow, EvalCache, LayerDesc, PuConfig, PuEval};
 use spa_arch::HwBudget;
@@ -642,10 +642,7 @@ fn metrics_json(inner: &Inner, flight: bool) -> Json {
         ),
     ];
     if flight {
-        // The dump's own JSON form is sorted-key; round-trip it through
-        // the wire value model so it embeds as a tree, not a string.
-        let dump = obs::flight::drain().to_json();
-        fields.push(("flight", crate::json::parse(&dump).unwrap_or(Json::Null)));
+        fields.push(("flight", obs::flight::drain().to_json()));
     }
     obj(fields)
 }
@@ -951,9 +948,9 @@ fn run_segment(inner: &Arc<Inner>, model: &str, budget: &str, ctl: &RunCtl) -> S
         None => obj(vec![("feasible", Json::from(false))]),
         Some(o) => {
             let r = &o.report;
-            let mut h = fnv64(&r.cycles.to_le_bytes());
-            h ^= fnv64(&r.seconds.to_bits().to_le_bytes());
-            h ^= fnv64(&r.dram_bytes.to_le_bytes());
+            let mut h = fnv1a(&r.cycles.to_le_bytes());
+            h ^= fnv1a(&r.seconds.to_bits().to_le_bytes());
+            h ^= fnv1a(&r.dram_bytes.to_le_bytes());
             obj(vec![
                 ("feasible", Json::from(true)),
                 ("explored", Json::from(o.explored)),
@@ -1024,17 +1021,17 @@ fn run_codesign(
 fn codesign_json(points: &[DesignPoint]) -> Json {
     let mut best_lat = f64::INFINITY;
     let mut best_energy = f64::INFINITY;
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = FNV_OFFSET;
     for p in points {
         best_lat = best_lat.min(p.latency_s);
         best_energy = best_energy.min(p.energy_pj);
-        h ^= fnv64(&p.latency_s.to_bits().to_le_bytes());
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        h ^= fnv64(&p.energy_pj.to_bits().to_le_bytes());
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        h ^= fnv64(p.method.as_bytes());
-        h ^= fnv64(&pucost::util::u64_of(p.shape.0).to_le_bytes());
-        h ^= fnv64(&pucost::util::u64_of(p.shape.1).to_le_bytes());
+        h ^= fnv1a(&p.latency_s.to_bits().to_le_bytes());
+        h = h.wrapping_mul(FNV_PRIME);
+        h ^= fnv1a(&p.energy_pj.to_bits().to_le_bytes());
+        h = h.wrapping_mul(FNV_PRIME);
+        h ^= fnv1a(p.method.as_bytes());
+        h ^= fnv1a(&pucost::util::u64_of(p.shape.0).to_le_bytes());
+        h ^= fnv1a(&pucost::util::u64_of(p.shape.1).to_le_bytes());
     }
     obj(vec![
         ("points", Json::from(points.len())),

@@ -43,6 +43,5 @@
 #![warn(missing_debug_implementations)]
 
 pub mod interp;
-pub mod json;
 pub mod manifest;
 pub mod verilog;

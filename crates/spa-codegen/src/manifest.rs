@@ -1,8 +1,8 @@
 //! JSON design manifests: everything a downstream flow needs to
 //! instantiate and program the customized accelerator.
 
-use crate::json::Json;
 use nnmodel::Workload;
+use obs::json::{obj, Json};
 use spa_arch::{DesignError, SpaDesign};
 
 /// Builds the design manifest for `design` over `workload`.
@@ -26,14 +26,15 @@ pub fn design_manifest(design: &SpaDesign, workload: &Workload) -> Result<String
         .iter()
         .enumerate()
         .map(|(i, pu)| {
-            Json::obj()
-                .set("id", i)
-                .set("rows", pu.rows)
-                .set("cols", pu.cols)
-                .set("pes", pu.num_pe())
-                .set("act_buf_bytes", pu.act_buf_bytes)
-                .set("wgt_buf_bytes", pu.wgt_buf_bytes)
-                .set("freq_mhz", pu.freq_mhz)
+            obj(vec![
+                ("id", Json::from(i)),
+                ("rows", Json::from(pu.rows)),
+                ("cols", Json::from(pu.cols)),
+                ("pes", Json::from(pu.num_pe())),
+                ("act_buf_bytes", Json::from(pu.act_buf_bytes)),
+                ("wgt_buf_bytes", Json::from(pu.wgt_buf_bytes)),
+                ("freq_mhz", Json::from(pu.freq_mhz)),
+            ])
         })
         .collect();
 
@@ -47,10 +48,11 @@ pub fn design_manifest(design: &SpaDesign, workload: &Workload) -> Result<String
                 .assignments
                 .iter()
                 .map(|a| {
-                    Json::obj()
-                        .set("item", a.item)
-                        .set("layer", workload.items()[a.item].name.clone())
-                        .set("pu", a.pu)
+                    obj(vec![
+                        ("item", Json::from(a.item)),
+                        ("layer", Json::from(workload.items()[a.item].name.as_str())),
+                        ("pu", Json::from(a.pu)),
+                    ])
                 })
                 .collect();
             let dataflows: Vec<Json> = (0..design.n_pus())
@@ -63,48 +65,50 @@ pub fn design_manifest(design: &SpaDesign, workload: &Workload) -> Result<String
                     let r = &routings[s];
                     (0..2u8).filter_map(move |port| {
                         r.selection(id, port).map(|sel| {
-                            Json::obj()
-                                .set("node", id.index())
-                                .set("port", port as usize)
-                                .set("select", sel as usize)
+                            obj(vec![
+                                ("node", Json::from(id.index())),
+                                ("port", Json::from(usize::from(port))),
+                                ("select", Json::from(usize::from(sel))),
+                            ])
                         })
                     })
                 })
                 .collect();
-            Json::obj()
-                .set("index", s)
-                .set("assignments", Json::Arr(assignments))
-                .set("dataflows", Json::Arr(dataflows))
-                .set("fabric_switches", Json::Arr(switches))
+            obj(vec![
+                ("index", Json::from(s)),
+                ("assignments", Json::Arr(assignments)),
+                ("dataflows", Json::Arr(dataflows)),
+                ("fabric_switches", Json::Arr(switches)),
+            ])
         })
         .collect();
 
-    let doc = Json::obj()
-        .set("design", design.name.clone())
-        .set("model", workload.name().to_string())
-        .set(
-            "platform",
-            match design.platform {
-                spa_arch::Platform::Asic => "asic",
-                spa_arch::Platform::Fpga => "fpga",
-            },
-        )
-        .set("batch", design.batch)
-        .set("bandwidth_gbps", design.bandwidth_gbps)
-        .set("total_pes", design.total_pes())
-        .set("pus", Json::Arr(pus))
-        .set("segments", Json::Arr(segments))
-        .set(
+    let platform = match design.platform {
+        spa_arch::Platform::Asic => "asic",
+        spa_arch::Platform::Fpga => "fpga",
+    };
+    let doc = obj(vec![
+        ("design", Json::from(design.name.as_str())),
+        ("model", Json::from(workload.name())),
+        ("platform", Json::from(platform)),
+        ("batch", Json::from(design.batch)),
+        ("bandwidth_gbps", Json::from(design.bandwidth_gbps)),
+        ("total_pes", Json::from(design.total_pes())),
+        ("pus", Json::Arr(pus)),
+        ("segments", Json::Arr(segments)),
+        (
             "fabric",
-            Json::obj()
-                .set("ports", net.ports())
-                .set("padded_ports", net.padded_ports())
-                .set("stages", net.stages())
-                .set("nodes_total", net.num_nodes())
-                .set("nodes_kept", pruned.nodes())
-                .set("muxes_kept", pruned.muxes())
-                .set("wires_kept", pruned.wires()),
-        );
+            obj(vec![
+                ("ports", Json::from(net.ports())),
+                ("padded_ports", Json::from(net.padded_ports())),
+                ("stages", Json::from(net.stages())),
+                ("nodes_total", Json::from(net.num_nodes())),
+                ("nodes_kept", Json::from(pruned.nodes())),
+                ("muxes_kept", Json::from(pruned.muxes())),
+                ("wires_kept", Json::from(pruned.wires())),
+            ]),
+        ),
+    ]);
     Ok(doc.pretty())
 }
 
