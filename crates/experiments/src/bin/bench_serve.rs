@@ -241,7 +241,7 @@ fn drive_fleet(
                 // Load-generating clients; traces are shard-minted.
                 // lint: allow(untraced-spawn)
                 scope.spawn(move || {
-                    let session = router.session();
+                    let (session, answers) = router.session();
                     let mut hist = HdrHist::new();
                     let mut shards = vec![0u64; router.shards()];
                     for i in 0..reqs {
@@ -254,7 +254,7 @@ fn drive_fleet(
                                 Instant::now() < deadline,
                                 "bench_serve: fleet request {id} timed out"
                             );
-                            let Some(line) = session.recv_timeout(Duration::from_millis(50))
+                            let Ok(line) = answers.recv_timeout(Duration::from_millis(50))
                             else {
                                 continue;
                             };
@@ -387,7 +387,7 @@ fn fleet_bench(shards: usize, sessions: usize, reqs: usize) -> Json {
     // Overload: one session pipelines far past the hard watermark; the
     // router must answer every line, shedding the excess typed.
     let burst = 64usize;
-    let session = router.session();
+    let (session, answers) = router.session();
     for i in 0..burst {
         let id = pucost::util::u64_of(i) + 1;
         session.submit(&eval_line(id, key_of(i)));
@@ -397,7 +397,7 @@ fn fleet_bench(shards: usize, sessions: usize, reqs: usize) -> Json {
     let deadline = Instant::now() + PHASE_TIMEOUT;
     while (shed + served) < pucost::util::u64_of(burst) {
         assert!(Instant::now() < deadline, "bench_serve: overload burst timed out");
-        let Some(line) = session.recv_timeout(Duration::from_millis(50)) else {
+        let Ok(line) = answers.recv_timeout(Duration::from_millis(50)) else {
             continue;
         };
         let v = parse(&line).expect("burst response is json");

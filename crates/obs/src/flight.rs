@@ -8,7 +8,9 @@
 //! having remembered to enable tracing. The cost budget is accordingly
 //! strict — a [`note`] is a few relaxed atomic stores into a
 //! thread-owned slot (no locks after a thread's first note), and memory
-//! is bounded at `threads x capacity x 40 bytes`.
+//! is bounded at `threads x capacity x 40 bytes`, counting only threads
+//! alive at once: an exited thread's ring goes on a free list, and the
+//! next new thread to note takes it over.
 //!
 //! # Protocol
 //!
@@ -210,6 +212,46 @@ fn registry() -> &'static Mutex<Vec<Arc<Ring>>> {
     R.get_or_init(|| Mutex::new(Vec::new()))
 }
 
+/// Rings of exited threads, oldest first. They stay registered, so a
+/// drain still sees their events until a new owner overwrites them.
+fn free_rings() -> &'static Mutex<Vec<Arc<Ring>>> {
+    static F: OnceLock<Mutex<Vec<Arc<Ring>>>> = OnceLock::new();
+    F.get_or_init(|| Mutex::new(Vec::new()))
+}
+
+/// A ring for a thread's first note: the oldest free ring of capacity
+/// `cap`, else a new registered one. Matching the capacity keeps
+/// [`configure`] in effect for new threads.
+fn claim_ring(cap: usize) -> Arc<Ring> {
+    let reused = {
+        let mut free = free_rings().lock().unwrap_or_else(|e| e.into_inner());
+        let found = free.iter().position(|r| r.slots.len() == cap);
+        found.map(|i| free.remove(i))
+    };
+    reused.unwrap_or_else(|| {
+        let new = Arc::new(Ring::new(cap));
+        registry()
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(Arc::clone(&new));
+        new
+    })
+}
+
+/// A thread's ring, handed to the free list when the thread exits.
+struct OwnedRing(Option<Arc<Ring>>);
+
+impl Drop for OwnedRing {
+    fn drop(&mut self) {
+        if let Some(ring) = self.0.take() {
+            free_rings()
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .push(ring);
+        }
+    }
+}
+
 /// Interned event names: a `u32` id fits a slot word and the hot path
 /// resolves it from a thread-local cache without taking the table lock.
 fn names() -> &'static Mutex<Vec<&'static str>> {
@@ -246,8 +288,8 @@ fn name_for(id: u32) -> &'static str {
 thread_local! {
     /// (name pointer, interned id) pairs — tiny, linear scan.
     static NAME_CACHE: RefCell<Vec<(usize, u32)>> = const { RefCell::new(Vec::new()) };
-    /// This thread's ring (allocated and registered on first note).
-    static RING: RefCell<Option<Arc<Ring>>> = const { RefCell::new(None) };
+    /// This thread's ring (claimed on first note, freed on exit).
+    static RING: RefCell<OwnedRing> = const { RefCell::new(OwnedRing(None)) };
     /// Re-entrancy guard for the fault hook (a dump can itself hit
     /// fault points like `obs.sink`).
     static IN_HOOK: Cell<bool> = const { Cell::new(false) };
@@ -255,15 +297,17 @@ thread_local! {
 
 fn intern(name: &'static str) -> u32 {
     let key = name.as_ptr() as usize;
-    NAME_CACHE.with(|c| {
-        let mut cache = c.borrow_mut();
-        if let Some(&(_, id)) = cache.iter().find(|(k, _)| *k == key) {
-            return id;
-        }
-        let id = intern_slow(name);
-        cache.push((key, id));
-        id
-    })
+    NAME_CACHE
+        .try_with(|c| {
+            let mut cache = c.borrow_mut();
+            if let Some(&(_, id)) = cache.iter().find(|(k, _)| *k == key) {
+                return id;
+            }
+            let id = intern_slow(name);
+            cache.push((key, id));
+            id
+        })
+        .unwrap_or_else(|_| intern_slow(name))
 }
 
 /// Records one event into this thread's ring. A few atomic stores when
@@ -290,18 +334,19 @@ fn note_dyn(name: &str, a: u64, b: u64) {
 
 fn write_event(id: u32, a: u64, b: u64, cap: usize) {
     let trace = crate::current_trace();
-    RING.with(|r| {
-        let mut ring = r.borrow_mut();
-        let ring = ring.get_or_insert_with(|| {
-            let new = Arc::new(Ring::new(cap));
-            registry()
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push(Arc::clone(&new));
-            new
-        });
+    // `try_with`: a note from another thread-local's destructor, after
+    // this thread's ring went back to the free list, is dropped.
+    let _ = RING.try_with(|r| {
+        let mut owned = r.borrow_mut();
+        let ring = owned.0.get_or_insert_with(|| claim_ring(cap));
         ring.write(id, trace, a, b);
     });
+}
+
+/// Rings allocated so far: one per thread alive at once, not one per
+/// thread ever started, since exited threads' rings are reused.
+pub fn ring_count() -> usize {
+    registry().lock().unwrap_or_else(|e| e.into_inner()).len()
 }
 
 /// Collects every ring's valid events, sorted by global sequence (a

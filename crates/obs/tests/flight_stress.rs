@@ -56,14 +56,22 @@ fn flight_recorder_loses_and_tears_nothing() {
     // Capacity above the per-thread event count: nothing may wrap.
     obs::flight::configure(1024);
     obs::flight::reset();
+    // A ring is per live thread: an exited writer's ring is reused by the
+    // next writer to start. Every writer holds its own ring (its first
+    // note) before any writer may exit, so the eight run concurrently.
+    let started = std::sync::Barrier::new(THREADS as usize);
     std::thread::scope(|scope| {
         for t in 0..THREADS {
+            let started = &started;
             scope.spawn(move || {
                 // Each writer runs under its own trace id; a torn slot
                 // would mix one writer's payload with another's trace.
                 let _trace = obs::TraceGuard::enter(t + 1);
                 for i in 0..EVENTS {
                     obs::flight::note("stress.flight", t, i);
+                    if i == 0 {
+                        started.wait();
+                    }
                 }
             });
         }

@@ -21,26 +21,6 @@
 
 use serve::{run_fleet_socket, Fleet, FleetConfig};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Raised by the SIGTERM/SIGINT handler; polled by the accept loop.
-static TERMINATE: AtomicBool = AtomicBool::new(false);
-
-/// Same minimal async-signal-safe handler as `spa-serve`.
-fn install_signal_handlers() {
-    extern "C" fn on_term(_sig: i32) {
-        TERMINATE.store(true, Ordering::SeqCst);
-    }
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    unsafe {
-        signal(SIGTERM, on_term as usize);
-        signal(SIGINT, on_term as usize);
-    }
-}
 
 fn usage() -> ! {
     eprintln!(
@@ -53,7 +33,10 @@ fn usage() -> ! {
 }
 
 fn main() {
-    faultsim::arm_from_env();
+    if let Err(e) = faultsim::arm_from_env() {
+        eprintln!("FAULT_PLAN: {e}");
+        std::process::exit(2);
+    }
     let mut socket: Option<PathBuf> = std::env::var("FLEET_SOCKET")
         .ok()
         .filter(|s| !s.is_empty())
@@ -89,7 +72,7 @@ fn main() {
     if let Some(n) = shards {
         cfg.shards = n.max(1);
     }
-    install_signal_handlers();
+    serve::install_signal_handlers();
     let fleet = match Fleet::start(cfg) {
         Ok(f) => f,
         Err(e) => {
@@ -103,7 +86,7 @@ fn main() {
         dir.display(),
         socket.display()
     );
-    if let Err(e) = run_fleet_socket(Path::new(&socket), &fleet, &TERMINATE) {
+    if let Err(e) = run_fleet_socket(Path::new(&socket), &fleet, &serve::TERMINATE) {
         eprintln!("spa-fleet: socket front failed: {e}");
         std::process::exit(1);
     }

@@ -22,15 +22,15 @@
 //! next to the current executable.
 
 use std::io::{BufRead, BufReader, Write as _};
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use crate::diskcache;
-use crate::router::{FleetSession, ProcInfo, Router, RouterConfig};
+use crate::router::{ProcInfo, Router, RouterConfig};
 use autoseg::dse::checkpoint::Checkpoint;
 
 /// Signal numbers used for shard kills (Linux).
@@ -133,7 +133,10 @@ pub struct Fleet {
     bin: PathBuf,
     router: Arc<Router>,
     procs: Vec<Arc<ShardProc>>,
-    stop: Arc<AtomicBool>,
+    /// Raised by [`Fleet::shutdown`]; the maintenance loops wait out
+    /// their periods on `stop_cv`, so they wake at once.
+    stop: Mutex<bool>,
+    stop_cv: Condvar,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
@@ -178,7 +181,8 @@ impl Fleet {
             bin,
             router,
             procs,
-            stop: Arc::new(AtomicBool::new(false)),
+            stop: Mutex::new(false),
+            stop_cv: Condvar::new(),
             threads: Mutex::new(Vec::new()),
         });
         for i in 0..fleet.cfg.shards {
@@ -266,9 +270,20 @@ impl Fleet {
         Ok(())
     }
 
+    /// Waits up to `period` for [`Fleet::shutdown`]; true once it began.
+    fn stopping(&self, period: Duration) -> bool {
+        let stop = lock(&self.stop);
+        let (stop, _) = self
+            .stop_cv
+            .wait_timeout_while(stop, period, |stop| !*stop)
+            .unwrap_or_else(|e| e.into_inner());
+        *stop
+    }
+
     /// Reaps and respawns dead shards; re-sends unsent pending lines.
     fn probe_loop(&self) {
-        while !self.stop.load(Ordering::SeqCst) {
+        let period = Duration::from_millis(self.cfg.probe_ms);
+        loop {
             for i in 0..self.procs.len() {
                 let dead = {
                     let mut child = lock(&self.procs[i].child);
@@ -284,7 +299,7 @@ impl Fleet {
                         },
                     }
                 };
-                if dead && !self.stop.load(Ordering::SeqCst) {
+                if dead && !self.stopping(Duration::ZERO) {
                     self.procs[i].restarts.fetch_add(1, Ordering::SeqCst);
                     obs::add("fleet.restart", 1);
                     if self.spawn_shard(i).is_err() {
@@ -293,17 +308,15 @@ impl Fleet {
                 }
             }
             self.router.housekeep();
-            std::thread::sleep(Duration::from_millis(self.cfg.probe_ms));
+            if self.stopping(period) {
+                return;
+            }
         }
     }
 
     fn snapshot_loop(&self) {
         let period = Duration::from_millis(self.cfg.snapshot_ms.max(10));
-        while !self.stop.load(Ordering::SeqCst) {
-            std::thread::sleep(period);
-            if self.stop.load(Ordering::SeqCst) || self.router.is_shutting_down() {
-                break;
-            }
+        while !self.stopping(period) && !self.router.is_shutting_down() {
             let _ = self.exchange_now();
         }
     }
@@ -334,7 +347,8 @@ impl Fleet {
     pub fn shutdown(&self) {
         // Stop the maintenance threads first so nothing respawns or
         // re-sends while the fleet tears down.
-        self.stop.store(true, Ordering::SeqCst);
+        *lock(&self.stop) = true;
+        self.stop_cv.notify_all();
         let handles = {
             let mut held = lock(&self.threads);
             std::mem::take(&mut *held)
@@ -444,108 +458,27 @@ pub fn merge_snapshots(dirs: &[PathBuf]) -> usize {
     union.len()
 }
 
-/// Hosts a fleet on a unix socket: each accepted connection gets a
-/// [`FleetSession`] pumped like `run_socket` pumps a [`crate::Client`].
+/// Hosts a fleet on a unix socket, serving each connection's
+/// [`crate::FleetSession`] as [`crate::run_socket`] serves a client.
 /// Returns when `stop` is raised or a `shutdown` request lands; the
-/// fleet is shut down gracefully (drain, shard shutdown, reap) before
-/// returning.
+/// fleet is shut down gracefully (drain, shard shutdown, reap) first.
 ///
 /// # Errors
 ///
-/// Bind/configure failures of the listener.
+/// Bind failures of the listener.
 pub fn run_fleet_socket(
     path: &Path,
     fleet: &Arc<Fleet>,
     stop: &AtomicBool,
 ) -> std::io::Result<()> {
-    let _ = std::fs::remove_file(path);
-    let listener = UnixListener::bind(path)?;
-    listener.set_nonblocking(true)?;
-    let mut pumps = Vec::new();
-    loop {
-        if stop.load(Ordering::SeqCst) || fleet.router().is_shutting_down() {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let session = fleet.router().session();
-                // Connection pumps shuttle bytes; responses carry
-                // shard-minted traces. lint: allow(untraced-spawn)
-                pumps.push(std::thread::spawn(move || {
-                    pump_fleet_connection(session, stream)
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
-            }
-            Err(e) => {
-                eprintln!("spa-fleet: accept failed: {e}");
-                break;
-            }
-        }
-    }
-    fleet.shutdown();
-    let _ = std::fs::remove_file(path);
-    for p in pumps {
-        let _ = p.join();
-    }
+    let listener = crate::bind(path)?;
+    let router = fleet.router();
+    crate::serve_socket(
+        listener,
+        path,
+        stop,
+        || (!router.is_shutting_down()).then(|| router.session()),
+        || fleet.shutdown(),
+    );
     Ok(())
-}
-
-/// One fleet connection, one thread: interleave reads (short timeout)
-/// with draining response lines, ending at EOF once every submitted
-/// request has resolved — the same discipline as `pump_connection`.
-fn pump_fleet_connection(session: FleetSession, stream: UnixStream) {
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(25)));
-    let mut reader = match stream.try_clone() {
-        Ok(r) => BufReader::new(r),
-        Err(e) => {
-            eprintln!("spa-fleet: cannot clone stream: {e}");
-            return;
-        }
-    };
-    let mut out = stream;
-    let mut acc = String::new();
-    let mut eof = false;
-    loop {
-        if !eof {
-            match reader.read_line(&mut acc) {
-                Ok(0) => eof = true,
-                Ok(_) => {
-                    session.submit(acc.trim_end());
-                    acc.clear();
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) => {}
-                Err(_) => eof = true,
-            }
-        } else if session.outstanding() > 0 {
-            match session.recv_timeout(Duration::from_millis(25)) {
-                Some(resp) => {
-                    if writeln!(out, "{resp}").is_err() {
-                        break;
-                    }
-                    continue;
-                }
-                None => {}
-            }
-        }
-        let mut io_ok = true;
-        for resp in session.drain_ready() {
-            io_ok &= writeln!(out, "{resp}").is_ok();
-        }
-        if !io_ok {
-            break;
-        }
-        if (eof || session.is_shutting_down()) && session.outstanding() == 0 {
-            for resp in session.drain_ready() {
-                let _ = writeln!(out, "{resp}");
-            }
-            break;
-        }
-    }
 }

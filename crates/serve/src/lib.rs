@@ -27,7 +27,8 @@
 //!
 //! The `spa-serve` binary (`main.rs`) fronts a [`server::Server`] with a
 //! unix-domain socket (`SERVE_SOCKET`) or, with `--stdio`, a single
-//! stdin/stdout session — the mode `verify.sh` drives.
+//! stdin/stdout session — the mode `verify.sh` drives. Every front, the
+//! fleet's included, is one blocking connection pump (DESIGN.md §9).
 //!
 //! Environment knobs: `SERVE_SOCKET` (socket path), `SERVE_CACHE_DIR`
 //! (persistent cache + server-side checkpoints), `SERVE_MAX_INFLIGHT`
@@ -58,192 +59,226 @@ pub use ring::Ring;
 pub use router::{FleetSession, Router, RouterConfig};
 pub use server::{Client, ServeConfig, Server};
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::RecvTimeoutError;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Runs one blocking stdio session against a fresh server: each input
-/// line is a request, each output line a response. Returns when the
-/// input reaches EOF or a `shutdown` request lands; either way the
-/// server drains, checkpoints in-flight searches and flushes the
-/// persistent cache before this returns.
-///
-/// Input is consumed on a dedicated reader thread so responses are
-/// forwarded (and flushed) while waiting for the next request line — an
-/// interactive client may write one request and wait for its response
-/// before writing more. If the session ends by `shutdown` request while
-/// the input is still open, the reader thread stays parked on its
-/// blocking read until the input closes (for the binary: process exit).
+/// Raised by the SIGTERM/SIGINT handler of [`install_signal_handlers`];
+/// the binaries pass it to [`run_socket`] and [`run_fleet_socket`] as
+/// `stop`.
+pub static TERMINATE: AtomicBool = AtomicBool::new(false);
+
+/// Installs a minimal async-signal-safe SIGTERM/SIGINT handler that
+/// raises [`TERMINATE`]. std links libc on every supported unix target,
+/// so declaring `signal` directly keeps the crate dependency-free; the
+/// handler body is a single atomic store, which is async-signal-safe.
+pub fn install_signal_handlers() {
+    extern "C" fn on_term(_sig: i32) {
+        TERMINATE.store(true, Ordering::SeqCst);
+    }
+    extern "C" {
+        fn signal(signum: i32, handler: usize) -> usize;
+    }
+    const SIGINT: i32 = 2;
+    const SIGTERM: i32 = 15;
+    let handler = on_term as *const () as usize;
+    // SAFETY: `signal` is libc's, and `on_term` only stores an atomic.
+    unsafe {
+        signal(SIGTERM, handler);
+        signal(SIGINT, handler);
+    }
+}
+
+/// One connection's request side: a [`Client`] of a [`Server`], or a
+/// [`FleetSession`] of a fleet [`Router`].
+pub(crate) trait Session: Send + 'static {
+    /// Submits one raw request line, whose answers arrive on the channel
+    /// minted with the session; false once the service is shutting down.
+    fn submit_line(&self, line: &str) -> bool;
+}
+
+/// Runs one stdio session against a fresh server: each input line is a
+/// request, each output line a response, written the moment it is
+/// ready. At input EOF every admitted request still answers; after a
+/// `shutdown` request the rest of the input is left unread. Either way
+/// the server then shuts down, checkpoints in-flight searches and
+/// flushes the persistent cache before this returns.
 ///
 /// This is the `--stdio` mode of the binary, factored here so tests can
 /// drive it with in-memory readers/writers.
 ///
 /// # Errors
 ///
-/// `std::io::Error` only for output-write failures; input errors end the
-/// session like EOF.
+/// Output-write failures, or a panic while submitting; input errors end
+/// the session like EOF.
 pub fn run_stdio(
     input: impl BufRead + Send + 'static,
-    mut output: impl Write,
+    output: impl Write,
     cfg: ServeConfig,
 ) -> std::io::Result<()> {
     let server = Server::start(cfg);
-    let client = server.client();
-    let (line_tx, line_rx) = std::sync::mpsc::channel::<String>();
-    // Reader thread forwards raw lines only; each request gets its own
-    // TraceGuard inside the worker's execute path.
-    // lint: allow(untraced-spawn)
-    std::thread::spawn(move || {
-        for line in input.lines() {
-            let Ok(line) = line else { break };
-            if line_tx.send(line).is_err() {
-                break;
-            }
-        }
-    });
-    let mut eof = false;
-    while !eof && !server.is_shutting_down() {
-        match line_rx.recv_timeout(Duration::from_millis(25)) {
-            Ok(line) => client.submit(&line),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => eof = true,
-        }
-        let mut wrote = false;
-        for resp in client.drain_ready() {
-            writeln!(output, "{resp}")?;
-            wrote = true;
-        }
-        if wrote {
-            output.flush()?;
-        }
-    }
-    if !server.is_shutting_down() {
-        server.shutdown();
-    }
-    for resp in client.drain_ready() {
-        writeln!(output, "{resp}")?;
-    }
-    // Wait for in-flight jobs to answer (done or typed partial — they
-    // observe their raised cancel flags at the next generation
-    // boundary), then drain the tail.
+    let (client, answers) = server.client();
+    let served = pump(client, answers, input, output, || {});
+    server.shutdown();
     server.join();
-    for resp in client.drain_ready() {
-        writeln!(output, "{resp}")?;
-    }
-    output.flush()?;
-    Ok(())
+    served
 }
 
-/// Hosts a fresh server on a unix-domain socket at `path`, accepting
-/// many concurrent clients (one JSONL session each) until `stop` is
-/// raised or a `shutdown` request lands. The accept loop is nonblocking
-/// so both are observed within ~25 ms. On exit the server drains
-/// gracefully, checkpoints in-flight searches and flushes the persistent
-/// cache.
+/// Hosts a fresh server on a unix-domain socket at `path`, one JSONL
+/// session per connection, until `stop` is raised or a `shutdown`
+/// request lands. On exit the server drains gracefully, checkpoints
+/// in-flight searches and flushes the persistent cache.
 ///
-/// This is the `--socket` mode of the binary (which passes its
-/// SIGTERM/SIGINT flag as `stop`), factored here so the `bench_serve`
-/// harness can host a real socket in-process and stop it between bench
-/// phases.
+/// This is the `--socket` mode of the binary (which passes
+/// [`TERMINATE`] as `stop`), factored here so the `bench_serve` harness
+/// can host a real socket in-process and stop it between bench phases.
 ///
 /// # Errors
 ///
-/// Bind/configure failures of the listener; accept errors other than
-/// `WouldBlock` end the loop but still shut down cleanly.
+/// Bind failures; an accept error ends the loop but still shuts down
+/// cleanly.
 pub fn run_socket(path: &Path, cfg: ServeConfig, stop: &AtomicBool) -> std::io::Result<()> {
-    let _ = std::fs::remove_file(path); // stale socket from a previous run
-    let listener = UnixListener::bind(path)?;
-    listener.set_nonblocking(true)?;
-    let server = Arc::new(Server::start(cfg));
-    let mut pumps = Vec::new();
-    loop {
-        if stop.load(Ordering::SeqCst) || server.is_shutting_down() {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let server = Arc::clone(&server);
-                // Connection pumps shuttle bytes; traces are per request
-                // (TraceGuard in the worker). lint: allow(untraced-spawn)
-                pumps.push(std::thread::spawn(move || pump_connection(&server, stream)));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
-            }
-            Err(e) => {
-                eprintln!("spa-serve: accept failed: {e}");
-                break;
-            }
-        }
-    }
-    server.shutdown();
-    let _ = std::fs::remove_file(path);
-    for p in pumps {
-        let _ = p.join();
-    }
-    match Arc::try_unwrap(server) {
-        Ok(s) => s.join(),
-        Err(_) => eprintln!("spa-serve: connection pump leaked a server handle"),
-    }
+    // Bind before the warm tier loads: an early client waits in the
+    // backlog instead of retrying.
+    let listener = bind(path)?;
+    let server = Server::start(cfg);
+    serve_socket(
+        listener,
+        path,
+        stop,
+        || (!server.is_shutting_down()).then(|| server.client()),
+        || server.shutdown(),
+    );
+    server.join();
     Ok(())
 }
 
-/// One connection, one thread: interleave reading request lines (with a
-/// short read timeout so responses keep flowing while the peer is idle)
-/// with pumping response lines back. The session ends once the peer
-/// stops sending (EOF) and every admitted job has resolved — responses
-/// are enqueued before a job resolves, so the final drain sees them all.
-fn pump_connection(server: &Server, stream: UnixStream) {
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(25)));
-    let client = server.client();
-    let mut reader = match stream.try_clone() {
-        Ok(r) => BufReader::new(r),
-        Err(e) => {
-            eprintln!("spa-serve: cannot clone stream: {e}");
-            return;
-        }
-    };
-    let mut out = stream;
-    let mut acc = String::new();
-    let mut eof = false;
-    loop {
-        if !eof {
-            // A timeout mid-line leaves the partial line in `acc`; the
-            // next round appends the rest.
-            match reader.read_line(&mut acc) {
-                Ok(0) => eof = true,
-                Ok(_) => {
-                    client.submit(acc.trim_end());
-                    acc.clear();
+/// Binds a listener at `path`, replacing a stale socket file.
+fn bind(path: &Path) -> std::io::Result<UnixListener> {
+    let _ = std::fs::remove_file(path);
+    UnixListener::bind(path)
+}
+
+/// The one accept loop, behind [`run_socket`] and [`run_fleet_socket`].
+///
+/// It blocks in `accept` and [`pump`]s each connection on a thread of
+/// its own until `stop` is raised or `open` finds the front shutting
+/// down. A connection to `path` wakes the blocked `accept` in both
+/// cases: the stop watcher makes it for `stop`, and the reader that
+/// submitted a `shutdown` request makes it for the verb. Then the loop
+/// runs `shutdown`, wakes every blocked reader by shutting its stream's
+/// read half, and waits until every connection wrote its last answer.
+pub(crate) fn serve_socket<S: Session>(
+    listener: UnixListener,
+    path: &Path,
+    stop: &AtomicBool,
+    open: impl Fn() -> Option<(S, Receiver<String>)>,
+    shutdown: impl FnOnce(),
+) {
+    let mut conns: Vec<(UnixStream, JoinHandle<()>)> = Vec::new();
+    let (accepting, watch) = channel::<()>();
+    std::thread::scope(|s| {
+        // The one timed wait: a signal handler can only store an atomic,
+        // so this watcher turns `stop` into a wake-up. No request runs on
+        // it, and it exits with the loop. lint: allow(untraced-spawn)
+        s.spawn(move || {
+            let poll = Duration::from_millis(25);
+            while let Err(RecvTimeoutError::Timeout) = watch.recv_timeout(poll) {
+                if stop.load(Ordering::SeqCst) {
+                    return wake(path);
                 }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) => {}
-                Err(_) => eof = true,
             }
-        } else if client.outstanding() > 0 {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        let mut io_ok = true;
-        for resp in client.drain_ready() {
-            io_ok &= writeln!(out, "{resp}").is_ok();
-        }
-        if !io_ok {
-            break; // peer hung up; jobs resolve server-side regardless
-        }
-        let drained = client.outstanding() == 0;
-        if (eof || server.is_shutting_down()) && drained {
-            for resp in client.drain_ready() {
-                let _ = writeln!(out, "{resp}");
+        });
+        for stream in listener.incoming() {
+            let stream = match stream {
+                Ok(stream) => stream,
+                Err(e) => {
+                    eprintln!("accept on {} failed: {e}", path.display());
+                    break;
+                }
+            };
+            if stop.load(Ordering::SeqCst) {
+                break;
             }
-            break;
+            let Some((session, answers)) = open() else {
+                break;
+            };
+            conns.retain(|(_, thread)| !thread.is_finished());
+            let (Ok(input), Ok(handle)) = (stream.try_clone(), stream.try_clone()) else {
+                continue;
+            };
+            let path = path.to_path_buf();
+            // Connection threads shuttle lines; each request enters its
+            // own trace in `submit`. lint: allow(untraced-spawn)
+            let spawned = std::thread::Builder::new().spawn(move || {
+                let input = BufReader::new(input);
+                let _ = pump(session, answers, input, &stream, move || wake(&path));
+                // EOF for the peer, though the accept loop holds a handle.
+                let _ = stream.shutdown(Shutdown::Both);
+            });
+            if let Ok(thread) = spawned {
+                conns.push((handle, thread));
+            }
         }
+        drop(accepting);
+    });
+    drop(listener);
+    let _ = std::fs::remove_file(path);
+    shutdown();
+    for (stream, _) in &conns {
+        let _ = stream.shutdown(Shutdown::Read);
     }
+    for (_, thread) in conns {
+        let _ = thread.join();
+    }
+}
+
+/// Wakes an accept loop blocked on `path` with a connection it drops.
+fn wake(path: &Path) {
+    let _ = UnixStream::connect(path);
+}
+
+/// Serves one session until its answer channel closes. A reader thread
+/// submits each line of `input`; the calling thread writes each answer
+/// to `output` the moment it arrives. The reader drops the session at
+/// EOF, or right after a line that leaves the service shutting down
+/// (calling `on_shutdown`), so the channel closes exactly when the
+/// request side is gone and every admitted request has answered.
+///
+/// # Errors
+///
+/// Output-write failures (the reader then runs on until EOF), or a
+/// panic of the reader.
+fn pump<S: Session>(
+    session: S,
+    answers: Receiver<String>,
+    input: impl BufRead + Send + 'static,
+    output: impl Write,
+    on_shutdown: impl FnOnce() + Send + 'static,
+) -> std::io::Result<()> {
+    // The reader forwards raw lines; each request enters its own trace
+    // in `submit`. lint: allow(untraced-spawn)
+    let reader = std::thread::Builder::new().spawn(move || {
+        for line in input.lines() {
+            let Ok(line) = line else { break };
+            if !session.submit_line(&line) {
+                on_shutdown();
+                break;
+            }
+        }
+    })?;
+    let mut out = BufWriter::new(output);
+    for answer in answers {
+        writeln!(out, "{answer}")?;
+        out.flush()?;
+    }
+    // The channel closed, so the reader has dropped the session.
+    reader
+        .join()
+        .map_err(|_| std::io::Error::other("request reader panicked"))
 }

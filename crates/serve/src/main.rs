@@ -12,10 +12,10 @@
 //!   checkpoint, the persistent cache flushes, and a restarted server
 //!   resumes interrupted codesigns bit-identically.
 //!
-//! Both front ends live in the library ([`serve::run_stdio`],
-//! [`serve::run_socket`]) so tests and the `bench_serve` harness drive
-//! them in-process; this binary adds only argument parsing and signal
-//! handling.
+//! Both front ends and the SIGTERM handler live in the library
+//! ([`serve::run_stdio`], [`serve::run_socket`],
+//! [`serve::install_signal_handlers`]) so tests and the `bench_serve`
+//! harness drive them in-process; this binary adds argument parsing.
 //!
 //! Environment: `SERVE_SOCKET`, `SERVE_CACHE_DIR`, `SERVE_MAX_INFLIGHT`,
 //! plus the usual `DSE_THREADS` / `OBS_LEVEL` / `OBS_FLIGHT` /
@@ -24,29 +24,6 @@
 use serve::ServeConfig;
 use std::io::BufReader;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Raised by the SIGTERM/SIGINT handler; polled by the accept loop.
-static TERMINATE: AtomicBool = AtomicBool::new(false);
-
-/// Installs a minimal async-signal-safe termination handler. std links
-/// libc on every supported unix target, so declaring `signal` directly
-/// keeps the crate dependency-free; the handler body is a single atomic
-/// store, which is async-signal-safe.
-fn install_signal_handlers() {
-    extern "C" fn on_term(_sig: i32) {
-        TERMINATE.store(true, Ordering::SeqCst);
-    }
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    unsafe {
-        signal(SIGTERM, on_term as usize);
-        signal(SIGINT, on_term as usize);
-    }
-}
 
 fn usage() -> ! {
     eprintln!(
@@ -58,9 +35,9 @@ fn usage() -> ! {
 }
 
 fn serve_socket(path: &Path, cfg: ServeConfig) {
-    install_signal_handlers();
+    serve::install_signal_handlers();
     eprintln!("spa-serve: listening on {}", path.display());
-    if let Err(e) = serve::run_socket(path, cfg, &TERMINATE) {
+    if let Err(e) = serve::run_socket(path, cfg, &serve::TERMINATE) {
         eprintln!("spa-serve: socket session failed: {e}");
         std::process::exit(1);
     }
@@ -68,7 +45,10 @@ fn serve_socket(path: &Path, cfg: ServeConfig) {
 }
 
 fn main() {
-    faultsim::arm_from_env();
+    if let Err(e) = faultsim::arm_from_env() {
+        eprintln!("FAULT_PLAN: {e}");
+        std::process::exit(2);
+    }
     let cfg = ServeConfig::from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mode: Vec<&str> = args.iter().map(String::as_str).collect();

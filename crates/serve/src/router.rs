@@ -30,7 +30,8 @@
 //! the target.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, ErrorKind, Write as _};
+use std::io::{BufRead, BufReader, Write as _};
+use std::net::Shutdown;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -45,9 +46,6 @@ use crate::ring::{route_key, Ring};
 
 /// How long a reader sleeps between reconnect attempts to a down shard.
 const RECONNECT_BACKOFF: Duration = Duration::from_millis(20);
-
-/// Reader-side read timeout: bounds how long a stop request waits.
-const READ_TICK: Duration = Duration::from_millis(100);
 
 /// Poisoned-lock recovery, same policy as `server.rs`: the guarded
 /// state is counters and tables that stay coherent under panic.
@@ -89,10 +87,9 @@ struct Counters {
 }
 
 /// Per-session state shared between the session handle and the shard
-/// readers that resolve its requests.
+/// readers that resolve its requests (every pending request holds it).
 struct SessionShared {
     tx: Sender<String>,
-    outstanding: AtomicUsize,
     /// Live client id → (shard, upstream id) for cancel routing.
     routes: Mutex<BTreeMap<u64, (usize, u64)>>,
 }
@@ -225,18 +222,19 @@ impl Router {
         }
     }
 
-    /// Mints a session: the handle a client connection submits through.
-    pub fn session(self: &Arc<Router>) -> FleetSession {
+    /// Mints a session: the handle a client connection submits through,
+    /// and the channel its response lines arrive on. The channel closes
+    /// once the handle is dropped and every forwarded request resolved.
+    pub fn session(self: &Arc<Router>) -> (FleetSession, Receiver<String>) {
         let (tx, rx) = channel();
-        FleetSession {
+        let session = FleetSession {
             router: Arc::clone(self),
             shared: Arc::new(SessionShared {
                 tx,
-                outstanding: AtomicUsize::new(0),
                 routes: Mutex::new(BTreeMap::new()),
             }),
-            rx,
-        }
+        };
+        (session, rx)
     }
 
     /// Re-sends any pending line that is not on the wire (after a write
@@ -265,7 +263,6 @@ impl Router {
                 table.into_values().collect()
             };
             for p in drained {
-                p.session.outstanding.fetch_sub(1, Ordering::SeqCst);
                 self.inflight.fetch_sub(1, Ordering::SeqCst);
                 lock(&p.session.routes).remove(&p.orig_id);
                 let _ = p
@@ -284,6 +281,17 @@ impl Router {
     /// [`Router::shutdown`] once the shard processes have exited.
     pub fn join(&self) {
         self.stop.store(true, Ordering::SeqCst);
+        for link in &self.links {
+            // Wake the blocked reader. It stores its stream and checks
+            // `stop` under this lock, so it is found here or stops itself.
+            let stream = {
+                let mut st = lock(&link.state);
+                st.stream.take()
+            };
+            if let Some(stream) = stream {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+        }
         let handles = {
             let mut held = lock(&self.readers);
             std::mem::take(&mut *held)
@@ -413,7 +421,8 @@ fn send_unsent(st: &mut LinkState, c: &Counters) {
 }
 
 /// Per-shard reader: connect, replay the pending table, pump response
-/// lines, and on any disconnect mark everything unsent and retry.
+/// lines (blocking until [`Router::join`] shuts the stream), and on any
+/// disconnect mark everything unsent and retry.
 fn reader_loop(router: &Router, link: &ShardLink) {
     while !router.stop.load(Ordering::SeqCst) {
         let stream = match UnixStream::connect(&link.sock) {
@@ -423,13 +432,15 @@ fn reader_loop(router: &Router, link: &ShardLink) {
                 continue;
             }
         };
-        let _ = stream.set_read_timeout(Some(READ_TICK));
         let writer = match stream.try_clone() {
             Ok(w) => w,
             Err(_) => continue,
         };
         {
             let mut st = lock(&link.state);
+            if router.stop.load(Ordering::SeqCst) {
+                return;
+            }
             st.stream = Some(writer);
             for p in st.pending.values_mut() {
                 p.sent = false;
@@ -441,22 +452,9 @@ fn reader_loop(router: &Router, link: &ShardLink) {
         obs::add("fleet.reconnect", 1);
         let mut reader = BufReader::new(stream);
         let mut buf = String::new();
-        loop {
-            if router.stop.load(Ordering::SeqCst) {
-                break;
-            }
+        while matches!(reader.read_line(&mut buf), Ok(n) if n > 0) {
+            handle_shard_line(router, link, buf.trim());
             buf.clear();
-            match reader.read_line(&mut buf) {
-                Ok(0) => break,
-                Ok(_) => handle_shard_line(router, link, buf.trim()),
-                Err(e)
-                    if e.kind() == ErrorKind::WouldBlock
-                        || e.kind() == ErrorKind::TimedOut =>
-                {
-                    continue
-                }
-                Err(_) => break,
-            }
         }
         link.up.store(false, Ordering::SeqCst);
         let mut st = lock(&link.state);
@@ -528,7 +526,6 @@ fn handle_shard_line(router: &Router, link: &ShardLink, line: &str) {
     {
         if terminal {
             lock(&session.routes).remove(&orig_id);
-            session.outstanding.fetch_sub(1, Ordering::SeqCst);
             router.inflight.fetch_sub(1, Ordering::SeqCst);
             if kind == "error" {
                 router.c.errors.fetch_add(1, Ordering::Relaxed);
@@ -550,11 +547,11 @@ fn rewrite_response(v: &Json, orig_id: u64, shard: usize) -> String {
 }
 
 /// One client connection's handle onto the router, mirroring
-/// [`crate::Client`]: submit raw lines, receive raw response lines.
+/// [`crate::Client`]: submit raw lines, receive raw response lines on the
+/// channel minted with it.
 pub struct FleetSession {
     router: Arc<Router>,
     shared: Arc<SessionShared>,
-    rx: Receiver<String>,
 }
 
 impl FleetSession {
@@ -660,7 +657,7 @@ impl FleetSession {
                     }
                 }
                 let shard = self.router.ring.assign(&key);
-                self.forward(env.id, shard, line);
+                self.forward(env.id, shard, line, trace);
             }
         }
     }
@@ -689,23 +686,33 @@ impl FleetSession {
         }
         let line =
             format!("{{\"v\":1,\"id\":{id},\"req\":\"cancel\",\"target\":{target_uid}}}");
-        self.forward(id, shard, &line);
+        self.forward(id, shard, &line, trace);
     }
 
     /// Rewrites the id and hands the line to the shard link. When the
     /// link is down (or a `fleet.forward` fault is armed) the line
     /// stays pending unsent; reconnect or housekeeping delivers it.
-    fn forward(&self, orig_id: u64, shard: usize, line: &str) {
+    fn forward(&self, orig_id: u64, shard: usize, line: &str, trace: u64) {
         let Some(link) = self.router.links.get(shard) else {
             return;
         };
         let uid = self.router.upstream_seq.fetch_add(1, Ordering::Relaxed) + 1;
         let out = rewrite_id(line, uid);
         lock(&self.shared.routes).insert(orig_id, (shard, uid));
-        self.shared.outstanding.fetch_add(1, Ordering::SeqCst);
         self.router.inflight.fetch_add(1, Ordering::SeqCst);
         let drop_send = faultsim::armed() && faultsim::hit("fleet.forward");
         let mut st = lock(&link.state);
+        // Under the link lock: `Router::shutdown` raises its flag before it
+        // drains this table, so a request is drained there or answered
+        // here the same way, and the session's channel still closes.
+        if self.router.is_shutting_down() {
+            drop(st);
+            lock(&self.shared.routes).remove(&orig_id);
+            self.router.inflight.fetch_sub(1, Ordering::SeqCst);
+            let line = partial_line(orig_id, "cancelled", 0, 0, None, trace);
+            let _ = self.shared.tx.send(line);
+            return;
+        }
         st.pending.insert(
             uid,
             Pending {
@@ -724,29 +731,12 @@ impl FleetSession {
             obs::add("fleet.forwarded", 1);
         }
     }
+}
 
-    /// Requests submitted on this session and not yet resolved.
-    pub fn outstanding(&self) -> usize {
-        self.shared.outstanding.load(Ordering::SeqCst)
-    }
-
-    /// True once the fleet router started shutting down.
-    pub fn is_shutting_down(&self) -> bool {
-        self.router.is_shutting_down()
-    }
-
-    /// Blocks up to `timeout` for the next response line.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<String> {
-        self.rx.recv_timeout(timeout).ok()
-    }
-
-    /// Drains every response line ready right now.
-    pub fn drain_ready(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        while let Ok(line) = self.rx.try_recv() {
-            out.push(line);
-        }
-        out
+impl crate::Session for FleetSession {
+    fn submit_line(&self, line: &str) -> bool {
+        self.submit(line);
+        !self.router.is_shutting_down()
     }
 }
 

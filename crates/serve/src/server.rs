@@ -5,9 +5,9 @@
 //! admission-controlled priority queue and a small pool of scheduler
 //! workers. Clients — one per connection, created with
 //! [`Server::client`] — submit raw JSONL request lines and receive JSONL
-//! response lines over a channel; the unix-socket and `--stdio` front
-//! ends in `main.rs` are thin line pumps over this type, and the
-//! integration tests drive it in-process.
+//! response lines over a channel; the `--stdio` and unix-socket fronts
+//! ([`crate::run_stdio`], [`crate::run_socket`]) pump lines through this
+//! type, and the integration tests drive it in-process.
 //!
 //! Scheduling: jobs run in `(priority desc, arrival asc)` order. When
 //! the head of the queue is an `eval_pu` job the worker drains the run
@@ -217,12 +217,12 @@ pub struct Server {
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
-/// One client connection: submit request lines, receive response lines.
+/// One client connection's request side. Its response lines arrive on
+/// the channel [`Server::client`] returns with it.
 pub struct Client {
     inner: Arc<Inner>,
     conn: u64,
     tx: Sender<String>,
-    rx: Receiver<String>,
 }
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
@@ -289,16 +289,18 @@ impl Server {
         Server { inner, workers }
     }
 
-    /// Opens a new logical connection.
-    pub fn client(&self) -> Client {
+    /// Opens a new logical connection: the request handle and the
+    /// channel its response lines arrive on. The channel closes once the
+    /// handle is dropped and every request it admitted has answered.
+    pub fn client(&self) -> (Client, Receiver<String>) {
         let conn = self.inner.conn_seq.fetch_add(1, Ordering::SeqCst);
         let (tx, rx) = std::sync::mpsc::channel();
-        Client {
+        let client = Client {
             inner: Arc::clone(&self.inner),
             conn,
             tx,
-            rx,
-        }
+        };
+        (client, rx)
     }
 
     /// Initiates graceful shutdown: stops admitting work, answers every
@@ -357,13 +359,8 @@ fn flush_disk(inner: &Inner) {
 }
 
 impl Client {
-    /// This connection's id (cancellation scope).
-    pub fn conn(&self) -> u64 {
-        self.conn
-    }
-
     /// Submits one raw request line. Every outcome — including parse
-    /// errors — comes back as a response line on [`Client::recv_timeout`].
+    /// errors — comes back as a response line on the client's channel.
     ///
     /// A trace id is minted here, before parsing: even a rejected line
     /// has an id linking its error response to the flight-recorder and
@@ -476,8 +473,9 @@ impl Client {
         // workers: a cache-hit eval can pop, run and respond in
         // microseconds, and the worker's post-response removal has to
         // find the entry — inserting it after the push would leave a
-        // stale entry behind, so Client::outstanding() never drains.
-        // The same ordering covers a concurrent shutdown drain.
+        // stale entry behind, and a later `cancel` of the finished id
+        // would answer `cancelled: true`. The same ordering covers a
+        // concurrent shutdown drain.
         lock(&self.inner.cancels).insert((self.conn, id), cancel);
         let admitted = lock(&self.inner.queue).push(priority, job);
         match admitted {
@@ -496,33 +494,12 @@ impl Client {
             }
         }
     }
-
-    /// Receives the next response line, waiting up to `timeout`.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<String> {
-        self.rx.recv_timeout(timeout).ok()
-    }
-
-    /// Async jobs of this connection admitted but not yet resolved.
-    /// Responses are sent *before* a job's entry is removed, so once
-    /// this reaches 0 a final [`Client::drain_ready`] observes every
-    /// response.
-    pub fn outstanding(&self) -> usize {
-        lock(&self.inner.cancels)
-            .keys()
-            .filter(|(conn, _)| *conn == self.conn)
-            .count()
-    }
-
-    /// Drains whatever responses are ready right now.
-    pub fn drain_ready(&self) -> Vec<String> {
-        self.rx.try_iter().collect()
-    }
 }
 
-impl Drop for Client {
-    fn drop(&mut self) {
-        // Cancellation entries for this connection can never fire again.
-        lock(&self.inner.cancels).retain(|(conn, _), _| *conn != self.conn);
+impl crate::Session for Client {
+    fn submit_line(&self, line: &str) -> bool {
+        self.submit(line);
+        !self.inner.shutdown.load(Ordering::SeqCst)
     }
 }
 
@@ -1070,9 +1047,9 @@ mod tests {
         )
     }
 
-    fn recv_for(client: &Client, id: u64, kinds: &[&str]) -> Json {
+    fn recv_for(answers: &Receiver<String>, id: u64, kinds: &[&str]) -> Json {
         for _ in 0..200 {
-            if let Some(line) = client.recv_timeout(Duration::from_secs(5)) {
+            if let Ok(line) = answers.recv_timeout(Duration::from_secs(5)) {
                 let v = crate::json::parse(&line).expect("response is json");
                 if v.get("id").and_then(Json::as_u64) == Some(id)
                     && v.get("kind")
@@ -1095,17 +1072,17 @@ mod tests {
             threads: 1,
             ..ServeConfig::default()
         });
-        let client = server.client();
+        let (client, answers) = server.client();
         client.submit(&eval_line(1, 1, ""));
-        let done = recv_for(&client, 1, &["done"]);
+        let done = recv_for(&answers, 1, &["done"]);
         let cycles = done.get("result").and_then(|r| r.get("cycles")).and_then(Json::as_u64);
         assert!(cycles.is_some_and(|c| c > 0));
         // Same request again: a cache hit, same bits.
         client.submit(&eval_line(2, 1, ""));
-        let again = recv_for(&client, 2, &["done"]);
+        let again = recv_for(&answers, 2, &["done"]);
         assert_eq!(done.get("result"), again.get("result"));
         client.submit(r#"{"v":1,"id":3,"req":"status"}"#);
-        let status = recv_for(&client, 3, &["done"]);
+        let status = recv_for(&answers, 3, &["done"]);
         let hits = status
             .get("result")
             .and_then(|r| r.get("cache"))
@@ -1122,12 +1099,12 @@ mod tests {
             workers: 1,
             ..ServeConfig::default()
         });
-        let client = server.client();
+        let (client, answers) = server.client();
         client.submit("this is not json");
-        let e = client.recv_timeout(Duration::from_secs(5)).expect("reply");
+        let e = answers.recv_timeout(Duration::from_secs(5)).expect("reply");
         assert!(e.contains("\"kind\":\"error\"") && e.contains("bad-json"), "{e}");
         client.submit(r#"{"v":1,"id":9,"req":"segment","model":"no_such_model","budget":"eyeriss"}"#);
-        let v = recv_for(&client, 9, &["error"]);
+        let v = recv_for(&answers, 9, &["error"]);
         assert_eq!(v.get("code").and_then(Json::as_str), Some("unknown-model"));
         server.shutdown();
         server.join();
@@ -1141,10 +1118,10 @@ mod tests {
             workers: 1,
             ..ServeConfig::default()
         });
-        let client = server.client();
+        let (client, answers) = server.client();
         server.shutdown();
         client.submit(&eval_line(5, 1, ""));
-        let v = recv_for(&client, 5, &["error"]);
+        let v = recv_for(&answers, 5, &["error"]);
         assert_eq!(v.get("code").and_then(Json::as_str), Some("shutting-down"));
         server.join();
     }
@@ -1156,10 +1133,10 @@ mod tests {
             threads: 1,
             ..ServeConfig::default()
         });
-        let client = server.client();
+        let (client, answers) = server.client();
         // deadline_ms 0: expired by the time the worker sees it.
         client.submit(&eval_line(4, 2, ",\"deadline_ms\":0"));
-        let v = recv_for(&client, 4, &["partial"]);
+        let v = recv_for(&answers, 4, &["partial"]);
         assert_eq!(v.get("reason").and_then(Json::as_str), Some("deadline"));
         server.shutdown();
         server.join();

@@ -27,7 +27,8 @@ use serve::testkit::{test_timeout, wait_until};
 use serve::{ServeConfig, Server};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::sync::mpsc::Receiver;
+use std::time::{Duration, Instant};
 
 fn tmpdir(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -72,7 +73,7 @@ fn codesign_line(id: u64, hw_iters: usize, seg_iters: usize) -> String {
 /// panicking with the missing set if the testkit budget elapses. Every
 /// terminal must be typed: `done`, `partial` with a reason, or `error`
 /// with a non-empty code.
-fn collect_terminals(session: &FleetSession, ids: &[u64]) -> BTreeMap<u64, Json> {
+fn collect_terminals(answers: &Receiver<String>, ids: &[u64]) -> BTreeMap<u64, Json> {
     let budget = test_timeout();
     let deadline = std::time::Instant::now() + budget;
     let mut out = BTreeMap::new();
@@ -82,7 +83,7 @@ fn collect_terminals(session: &FleetSession, ids: &[u64]) -> BTreeMap<u64, Json>
             "lost requests: no terminal for {:?} within {budget:?}",
             ids.iter().filter(|i| !out.contains_key(*i)).collect::<Vec<_>>()
         );
-        let Some(line) = session.recv_timeout(Duration::from_millis(100)) else {
+        let Ok(line) = answers.recv_timeout(Duration::from_millis(100)) else {
             continue;
         };
         let v = serve::json::parse(&line).expect("response line is JSON");
@@ -150,23 +151,23 @@ fn chaos_256_clients_survive_shard_kills_with_zero_lost_requests() {
         for t in 0..THREADS {
             let router = std::sync::Arc::clone(router);
             handles.push(s.spawn(move || {
-                let sessions: Vec<FleetSession> =
+                let sessions: Vec<(FleetSession, Receiver<String>)> =
                     (0..SESSIONS_PER_THREAD).map(|_| router.session()).collect();
                 let mut out = Vec::new();
                 for wave in 0..2u64 {
                     // Pipeline the whole wave across all sessions first,
                     // then collect — so kills land on in-flight work.
-                    for (si, session) in sessions.iter().enumerate() {
+                    for (si, (session, _)) in sessions.iter().enumerate() {
                         for i in 0..REQS_PER_WAVE {
                             let id = wave * 1000 + 100 + i;
                             let shape = (t as usize) + si + (wave as usize) + (i as usize);
                             session.submit(&eval_line(id, shape % 8));
                         }
                     }
-                    for session in &sessions {
+                    for (_, answers) in &sessions {
                         let ids: Vec<u64> =
                             (0..REQS_PER_WAVE).map(|i| wave * 1000 + 100 + i).collect();
-                        for (id, v) in collect_terminals(session, &ids) {
+                        for (id, v) in collect_terminals(answers, &ids) {
                             let kind = v
                                 .get("kind")
                                 .and_then(Json::as_str)
@@ -230,10 +231,10 @@ fn codesign_failover_resumes_bit_identical_after_owner_shard_dies() {
             cache_dir: Some(ref_dir.clone()),
             ..ServeConfig::default()
         });
-        let client = server.client();
+        let (client, answers) = server.client();
         client.submit(&codesign_line(1, 40, 48));
         let digest = loop {
-            let line = client.recv_timeout(test_timeout()).expect("reference result");
+            let line = answers.recv_timeout(test_timeout()).expect("reference result");
             let v = serve::json::parse(&line).expect("json");
             match v.get("kind").and_then(Json::as_str) {
                 Some("progress") => continue,
@@ -266,7 +267,7 @@ fn codesign_failover_resumes_bit_identical_after_owner_shard_dies() {
         "owner shard {owner} up"
     );
     let owner_pid = fleet.shard_pid(owner).expect("owner running");
-    let session = fleet.router().session();
+    let (session, answers) = fleet.router().session();
     session.submit(&codesign_line(1, 40, 48));
     // Wait for the search to be demonstrably in flight on the owner (its
     // first progress event), then pull the plug. If the search is so
@@ -274,7 +275,7 @@ fn codesign_failover_resumes_bit_identical_after_owner_shard_dies() {
     // below still pins the digest.
     let mut terminal: Option<Json> = None;
     loop {
-        let line = session.recv_timeout(test_timeout()).expect("pickup or terminal");
+        let line = answers.recv_timeout(test_timeout()).expect("pickup or terminal");
         let v = serve::json::parse(&line).expect("json");
         match v.get("kind").and_then(Json::as_str) {
             Some("progress") => {
@@ -303,7 +304,7 @@ fn codesign_failover_resumes_bit_identical_after_owner_shard_dies() {
         );
     }
     let v = terminal
-        .unwrap_or_else(|| collect_terminals(&session, &[1]).remove(&1).expect("terminal"));
+        .unwrap_or_else(|| collect_terminals(&answers, &[1]).remove(&1).expect("terminal"));
     assert_eq!(
         v.get("kind").and_then(Json::as_str),
         Some("done"),
@@ -344,7 +345,7 @@ fn injected_faults_resolve_typed_with_no_lost_requests() {
     // other tests in this process.
     let guard = faultsim::exclusive();
     faultsim::arm("fleet.forward@2").expect("plan parses");
-    let session = fleet.router().session();
+    let (session, answers) = fleet.router().session();
     let ids: Vec<u64> = (1..=8).collect();
     for &id in &ids {
         session.submit(&eval_line(id, id as usize));
@@ -352,7 +353,7 @@ fn injected_faults_resolve_typed_with_no_lost_requests() {
     session.submit(&codesign_line(9, 2, 4));
     let mut all = ids.clone();
     all.push(9);
-    let resps = collect_terminals(&session, &all);
+    let resps = collect_terminals(&answers, &all);
     for (id, v) in &resps {
         assert_eq!(
             v.get("kind").and_then(Json::as_str),
@@ -380,12 +381,12 @@ fn overload_sheds_typed_and_recovers() {
     let mut cfg = fleet_cfg(&dir);
     cfg.soft_cap = 1; // hard watermark = 2
     let fleet = Fleet::start(cfg).expect("fleet starts");
-    let session = fleet.router().session();
+    let (session, answers) = fleet.router().session();
     let ids: Vec<u64> = (1..=32).collect();
     for &id in &ids {
         session.submit(&eval_line(id, id as usize));
     }
-    let resps = collect_terminals(&session, &ids);
+    let resps = collect_terminals(&answers, &ids);
     let shed = resps
         .values()
         .filter(|v| {
@@ -406,7 +407,7 @@ fn overload_sheds_typed_and_recovers() {
     // Recovery: the burst has drained, so a fresh request is admitted.
     assert!(wait_until(|| fleet.router().inflight() == 0));
     session.submit(&eval_line(100, 1));
-    let v = collect_terminals(&session, &[100]).remove(&100).expect("terminal");
+    let v = collect_terminals(&answers, &[100]).remove(&100).expect("terminal");
     assert_eq!(
         v.get("kind").and_then(Json::as_str),
         Some("done"),
@@ -423,9 +424,9 @@ fn overload_sheds_typed_and_recovers() {
 fn snapshot_exchange_warms_a_killed_shard() {
     let dir = tmpdir("warm");
     let fleet = Fleet::start(fleet_cfg(&dir)).expect("fleet starts");
-    let session = fleet.router().session();
+    let (session, answers) = fleet.router().session();
     session.submit(&eval_line(1, 3));
-    let v = collect_terminals(&session, &[1]).remove(&1).expect("terminal");
+    let v = collect_terminals(&answers, &[1]).remove(&1).expect("terminal");
     assert_eq!(v.get("kind").and_then(Json::as_str), Some("done"), "{v:?}");
     let owner = usize::try_from(
         v.get("shard").and_then(Json::as_u64).expect("shard tag"),
@@ -444,7 +445,7 @@ fn snapshot_exchange_warms_a_killed_shard() {
     // Same key routes to the same shard; the respawned process must
     // answer it from the loaded snapshot.
     session.submit(&eval_line(2, 3));
-    let v = collect_terminals(&session, &[2]).remove(&2).expect("terminal");
+    let v = collect_terminals(&answers, &[2]).remove(&2).expect("terminal");
     assert_eq!(v.get("kind").and_then(Json::as_str), Some("done"), "{v:?}");
     assert_eq!(
         v.get("shard").and_then(Json::as_u64),
@@ -472,5 +473,28 @@ fn snapshot_exchange_warms_a_killed_shard() {
         shard_status(&fleet.shard_socket(owner))
     );
     fleet.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The probe and snapshot loops wait out their periods on the fleet's
+/// stop signal, so a shutdown does not wait for a period to end.
+#[test]
+fn shutdown_wakes_the_maintenance_loops() {
+    let dir = tmpdir("stop");
+    let mut cfg = fleet_cfg(&dir);
+    cfg.probe_ms = 60_000;
+    cfg.snapshot_ms = 60_000;
+    let fleet = Fleet::start(cfg).expect("fleet starts");
+    assert!(
+        wait_until(|| (0..3).all(|i| fleet.router().shard_up(i))),
+        "every shard up"
+    );
+    let t0 = Instant::now();
+    fleet.shutdown();
+    assert!(
+        t0.elapsed() < Duration::from_secs(5),
+        "fleet shutdown took {:?}",
+        t0.elapsed()
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -15,16 +15,25 @@
 //!   to an uninterrupted run of the same request.
 //! * **Deadlines**: a mid-request `deadline_ms` produces a typed
 //!   `partial` with `reason:"deadline"`, never a hang or a panic.
-//! * **Drain invariants**: `Client::outstanding` reaches 0 once every
-//!   response has arrived (cancel entries are registered before a job
-//!   is worker-visible), and a `--stdio` session answers while its
-//!   input is idle — the two hangs fixed after review.
+//! * **Cancel entries**: a finished request leaves none behind (entries
+//!   are registered before a job is worker-visible), so a later
+//!   `cancel` of its id answers `cancelled: false`.
+//! * **Fronts**: a `--stdio` session answers while its input is idle and
+//!   answers everything admitted before EOF; over a socket, each answer
+//!   is written the moment it is ready (closed-loop round trips, 4,000
+//!   requests pipelined before any read), and a `shutdown` request wakes
+//!   idle connections so the server returns; a malformed `FAULT_PLAN`
+//!   stops both binaries at start-up.
 
 use serve::json::Json;
 use serve::testkit::{test_timeout, wait_until};
 use serve::{ServeConfig, Server};
-use std::path::PathBuf;
-use std::time::Duration;
+use std::io::{BufRead, BufReader, Write};
+use std::os::unix::net::UnixStream;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::AtomicBool;
+use std::sync::mpsc::Receiver;
+use std::time::{Duration, Instant};
 
 fn tmpdir(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -61,7 +70,10 @@ fn codesign_line(id: u64, method: &str, hw_iters: usize, seg_iters: usize, extra
 /// (`done` | `partial` | `error`); `progress` events are skipped. The
 /// channel interleaves responses of concurrently outstanding requests,
 /// so waiting for several ids must collect, not filter.
-fn collect_terminals(client: &serve::Client, ids: &[u64]) -> std::collections::BTreeMap<u64, Json> {
+fn collect_terminals(
+    answers: &Receiver<String>,
+    ids: &[u64],
+) -> std::collections::BTreeMap<u64, Json> {
     // One SERVE_TEST_TIMEOUT_MS budget covers the whole collection, with
     // short receive ticks — no per-line hardcoded deadline to flake on.
     let deadline = std::time::Instant::now() + test_timeout();
@@ -72,7 +84,7 @@ fn collect_terminals(client: &serve::Client, ids: &[u64]) -> std::collections::B
             "timed out; missing terminal responses for {ids:?} (have {:?})",
             out.keys().collect::<Vec<_>>()
         );
-        let Some(line) = client.recv_timeout(Duration::from_millis(100)) else {
+        let Ok(line) = answers.recv_timeout(Duration::from_millis(100)) else {
             continue;
         };
         let v = serve::json::parse(&line).expect("response line is JSON");
@@ -91,13 +103,13 @@ fn collect_terminals(client: &serve::Client, ids: &[u64]) -> std::collections::B
 
 /// Waits for the terminal response to `id` — only safe when `id` is the
 /// sole outstanding request on this client.
-fn terminal_for(client: &serve::Client, id: u64) -> Json {
-    collect_terminals(client, &[id]).remove(&id).expect("collected")
+fn terminal_for(answers: &Receiver<String>, id: u64) -> Json {
+    collect_terminals(answers, &[id]).remove(&id).expect("collected")
 }
 
-fn status_of(client: &serve::Client, id: u64) -> Json {
+fn status_of(client: &serve::Client, answers: &Receiver<String>, id: u64) -> Json {
     client.submit(&format!("{{\"v\":1,\"id\":{id},\"req\":\"status\"}}"));
-    let v = terminal_for(client, id);
+    let v = terminal_for(answers, id);
     assert_eq!(v.get("kind").and_then(Json::as_str), Some("done"));
     v.get("result").expect("status result").clone()
 }
@@ -112,7 +124,7 @@ fn eight_concurrent_clients_every_request_answered() {
     let answered: Vec<(u64, String)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0u64..8)
             .map(|c| {
-                let client = server.client();
+                let (client, answers) = server.client();
                 s.spawn(move || {
                     let mut out = Vec::new();
                     for i in 0u64..3 {
@@ -126,7 +138,7 @@ fn eight_concurrent_clients_every_request_answered() {
                         client.submit(&eval_line(id, usize::try_from(c + i).expect("small"), &extra));
                     }
                     let ids: Vec<u64> = (0u64..3).map(|i| 100 * c + i).collect();
-                    for (id, v) in collect_terminals(&client, &ids) {
+                    for (id, v) in collect_terminals(&answers, &ids) {
                         let kind = v
                             .get("kind")
                             .and_then(Json::as_str)
@@ -152,8 +164,8 @@ fn eight_concurrent_clients_every_request_answered() {
     }
     // The repeated layer/PU shapes across clients must have hit the
     // shared cache at least once (7 distinct shapes, 24 requests).
-    let client = server.client();
-    let st = status_of(&client, 9000);
+    let (client, answers) = server.client();
+    let st = status_of(&client, &answers, 9000);
     let hits = st
         .get("cache")
         .and_then(|c| c.get("hits"))
@@ -176,11 +188,11 @@ fn persistent_cache_survives_restart_and_reports_warm_hits() {
     // First server: compute, flush on shutdown.
     {
         let server = Server::start(cfg());
-        let client = server.client();
+        let (client, answers) = server.client();
         client.submit(&eval_line(1, 1, ""));
-        let v = terminal_for(&client, 1);
+        let v = terminal_for(&answers, 1);
         assert_eq!(v.get("kind").and_then(Json::as_str), Some("done"));
-        let st = status_of(&client, 2);
+        let st = status_of(&client, &answers, 2);
         let misses = st
             .get("cache")
             .and_then(|c| c.get("misses"))
@@ -193,8 +205,8 @@ fn persistent_cache_survives_restart_and_reports_warm_hits() {
     // Second server, same cache dir: the repeat is a warm (disk-tier)
     // hit, visible in `status` under cache.warm_hits and disk.*.
     let server = Server::start(cfg());
-    let client = server.client();
-    let st0 = status_of(&client, 1);
+    let (client, answers) = server.client();
+    let st0 = status_of(&client, &answers, 1);
     let loaded = st0
         .get("disk")
         .and_then(|d| d.get("loaded_entries"))
@@ -202,9 +214,9 @@ fn persistent_cache_survives_restart_and_reports_warm_hits() {
         .expect("disk.loaded_entries");
     assert!(loaded >= 1, "snapshot loaded on start: {st0:?}");
     client.submit(&eval_line(2, 1, ""));
-    let v = terminal_for(&client, 2);
+    let v = terminal_for(&answers, 2);
     assert_eq!(v.get("kind").and_then(Json::as_str), Some("done"));
-    let st = status_of(&client, 3);
+    let st = status_of(&client, &answers, 3);
     let warm = st
         .get("cache")
         .and_then(|c| c.get("warm_hits"))
@@ -233,9 +245,9 @@ fn interrupted_codesign_resumes_bit_identical_after_restart() {
             cache_dir: Some(ref_dir.clone()),
             ..ServeConfig::default()
         });
-        let client = server.client();
+        let (client, answers) = server.client();
         client.submit(&codesign_line(1, "mip-baye", 40, 48, ""));
-        let v = terminal_for(&client, 1);
+        let v = terminal_for(&answers, 1);
         assert_eq!(v.get("kind").and_then(Json::as_str), Some("done"), "{v:?}");
         let digest = v
             .get("result")
@@ -259,13 +271,13 @@ fn interrupted_codesign_resumes_bit_identical_after_restart() {
     };
     let first = {
         let server = Server::start(cfg());
-        let client = server.client();
+        let (client, answers) = server.client();
         client.submit(&codesign_line(1, "mip-baye", 40, 48, ""));
         // Wait for the worker to pick the search up (its `progress`
         // event), then pull the plug mid-flight.
         let mut terminal = None;
         loop {
-            let line = client
+            let line = answers
                 .recv_timeout(test_timeout())
                 .expect("response while waiting for pickup");
             let v = serve::json::parse(&line).expect("json");
@@ -280,7 +292,7 @@ fn interrupted_codesign_resumes_bit_identical_after_restart() {
             }
         }
         server.shutdown();
-        let v = terminal.unwrap_or_else(|| terminal_for(&client, 1));
+        let v = terminal.unwrap_or_else(|| terminal_for(&answers, 1));
         server.join();
         v
     };
@@ -294,9 +306,9 @@ fn interrupted_codesign_resumes_bit_identical_after_restart() {
                 "{first:?}"
             );
             let server = Server::start(cfg());
-            let client = server.client();
+            let (client, answers) = server.client();
             client.submit(&codesign_line(2, "mip-baye", 40, 48, ""));
-            let v = terminal_for(&client, 2);
+            let v = terminal_for(&answers, 2);
             assert_eq!(v.get("kind").and_then(Json::as_str), Some("done"), "{v:?}");
             let d = v
                 .get("result")
@@ -332,12 +344,12 @@ fn mid_request_deadline_yields_typed_partial() {
         threads: 1,
         ..ServeConfig::default()
     });
-    let client = server.client();
+    let (client, answers) = server.client();
     // A deliberately over-budget search under a tight deadline: the
     // worker starts it (the deadline has not expired at pickup) and the
     // search stops cooperatively at a generation boundary.
     client.submit(&codesign_line(1, "mip-baye", 4000, 48, ",\"deadline_ms\":50"));
-    let v = terminal_for(&client, 1);
+    let v = terminal_for(&answers, 1);
     match v.get("kind").and_then(Json::as_str) {
         Some("partial") => {
             assert_eq!(v.get("reason").and_then(Json::as_str), Some("deadline"), "{v:?}");
@@ -356,31 +368,42 @@ fn mid_request_deadline_yields_typed_partial() {
 }
 
 #[test]
-fn outstanding_drains_to_zero_after_fast_evals() {
-    // Regression: the cancel entry must be registered before the job
-    // becomes visible to a worker. A cache-hit eval completes in
-    // microseconds; when the worker's post-response cleanup ran before
-    // the submitter's insert, the stale entry kept `outstanding()`
-    // nonzero forever and the socket pump never hung up after EOF.
+fn finished_evals_leave_no_cancel_entry() {
+    // The cancel entry must be registered before the job becomes
+    // visible to a worker. A cache-hit eval completes in microseconds;
+    // if the worker's post-response cleanup ran before the submitter's
+    // insert, the stale entry would outlive its request, and a `cancel`
+    // of the finished id would answer `cancelled: true`.
     let server = Server::start(ServeConfig {
         workers: 2,
         threads: 1,
         ..ServeConfig::default()
     });
-    let client = server.client();
+    let (client, answers) = server.client();
     // Warm the one shape, then hammer it: every later run is a cache
     // hit racing the submitting thread.
     for id in 0..=200u64 {
         client.submit(&eval_line(id, 1, ""));
-        let v = terminal_for(&client, id);
+        let v = terminal_for(&answers, id);
         assert_eq!(v.get("kind").and_then(Json::as_str), Some("done"), "{v:?}");
     }
-    // Cleanup runs after the response is sent, so poll briefly.
-    assert!(
-        wait_until(|| client.outstanding() == 0),
-        "outstanding stuck at {} after every response arrived",
-        client.outstanding()
-    );
+    // Cleanup runs after the response is sent, so poll briefly: a stale
+    // entry would answer `true` for ever.
+    for id in 0..=200u64 {
+        let cancel_id = 1000 + id;
+        let mut last = Json::Null;
+        let gone = wait_until(|| {
+            client.submit(&format!(
+                "{{\"v\":1,\"id\":{cancel_id},\"req\":\"cancel\",\"target\":{id}}}"
+            ));
+            last = terminal_for(&answers, cancel_id);
+            last.get("result")
+                .and_then(|r| r.get("cancelled"))
+                .and_then(Json::as_bool)
+                == Some(false)
+        });
+        assert!(gone, "eval {id} left a stale cancel entry: {last:?}");
+    }
     server.shutdown();
     server.join();
 }
@@ -492,11 +515,11 @@ fn metrics_verb_reports_telemetry_with_stable_rendering() {
         threads: 1,
         ..ServeConfig::default()
     });
-    let client = server.client();
+    let (client, answers) = server.client();
     // One eval populates the stage and verb histograms, and its terminal
     // response must echo a server-minted trace id.
     client.submit(&eval_line(1, 1, ""));
-    let done = terminal_for(&client, 1);
+    let done = terminal_for(&answers, 1);
     assert_eq!(done.get("kind").and_then(Json::as_str), Some("done"));
     assert!(
         done.get("trace").and_then(Json::as_u64).is_some_and(|t| t > 0),
@@ -507,7 +530,7 @@ fn metrics_verb_reports_telemetry_with_stable_rendering() {
     // parsed tree reproduces the line byte for byte.
     client.submit(r#"{"v":1,"id":2,"req":"metrics","flight":true}"#);
     let line = loop {
-        let l = client.recv_timeout(test_timeout()).expect("metrics reply");
+        let l = answers.recv_timeout(test_timeout()).expect("metrics reply");
         let v = serve::json::parse(&l).expect("json");
         if v.get("id").and_then(Json::as_u64) == Some(2) {
             break l;
@@ -552,7 +575,7 @@ fn metrics_verb_reports_telemetry_with_stable_rendering() {
     assert!(result.get("recorder").is_some(), "{result:?}");
     // The extended status surface rides along: uptime, queue high-water
     // mark, deadline-miss counter.
-    let st = status_of(&client, 3);
+    let st = status_of(&client, &answers, 3);
     assert!(st.get("uptime_ms").and_then(Json::as_u64).is_some(), "{st:?}");
     let hw = st
         .get("queue")
@@ -581,11 +604,11 @@ fn cancel_interrupts_a_queued_request() {
         threads: 1,
         ..ServeConfig::default()
     });
-    let client = server.client();
+    let (client, answers) = server.client();
     client.submit(&codesign_line(1, "mip-heuristic", 6, 600, ",\"deadline_ms\":2000"));
     client.submit(&eval_line(2, 1, ""));
     client.submit(r#"{"v":1,"id":3,"req":"cancel","target":2}"#);
-    let mut resps = collect_terminals(&client, &[1, 2, 3]);
+    let mut resps = collect_terminals(&answers, &[1, 2, 3]);
     let cancel_resp = resps.remove(&3).expect("cancel response");
     assert_eq!(cancel_resp.get("kind").and_then(Json::as_str), Some("done"));
     let v = resps.remove(&2).expect("eval response");
@@ -609,4 +632,224 @@ fn cancel_interrupts_a_queued_request() {
     );
     server.shutdown();
     server.join();
+}
+
+#[test]
+fn stdio_answers_every_admitted_request_before_eof_ends_the_session() {
+    // EOF ends a stdio session the way it ends a socket session: every
+    // admitted request answers first, instead of a shutdown at EOF
+    // answering queued work `partial: cancelled`.
+    let input = std::io::Cursor::new(format!("{}\n", eval_line(1, 1, "")).into_bytes());
+    let mut out = Vec::new();
+    serve::run_stdio(
+        input,
+        &mut out,
+        ServeConfig {
+            workers: 1,
+            threads: 1,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("stdio session io");
+    let text = String::from_utf8(out).expect("utf8");
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 1, "one answer: {text}");
+    let v = serve::json::parse(lines[0]).expect("response line is JSON");
+    assert_eq!(v.get("id").and_then(Json::as_u64), Some(1), "{v:?}");
+    assert_eq!(v.get("kind").and_then(Json::as_str), Some("done"), "{v:?}");
+}
+
+/// A [`serve::run_socket`] server on its own thread.
+struct Hosted {
+    sock: PathBuf,
+    /// Receives `run_socket`'s result when it returns.
+    stopped: Receiver<std::io::Result<()>>,
+}
+
+fn host(name: &str, cfg: ServeConfig) -> Hosted {
+    let sock = tmpdir(name).join("serve.sock");
+    let (tx, stopped) = std::sync::mpsc::channel();
+    let path = sock.clone();
+    std::thread::spawn(move || {
+        // Stopped by `shutdown` requests, never by this flag.
+        static NEVER: AtomicBool = AtomicBool::new(false);
+        let _ = tx.send(serve::run_socket(&path, cfg, &NEVER));
+    });
+    Hosted { sock, stopped }
+}
+
+/// Connects to a hosted server (retrying while it binds). Reads and
+/// writes fail after the test budget instead of hanging.
+fn connect(sock: &Path) -> (BufReader<UnixStream>, UnixStream) {
+    let mut stream = None;
+    assert!(
+        wait_until(|| {
+            stream = UnixStream::connect(sock).ok();
+            stream.is_some()
+        }),
+        "server never listened on {}",
+        sock.display()
+    );
+    let stream = stream.expect("connected");
+    stream
+        .set_read_timeout(Some(test_timeout()))
+        .expect("read timeout");
+    stream
+        .set_write_timeout(Some(test_timeout()))
+        .expect("write timeout");
+    (BufReader::new(stream.try_clone().expect("clone")), stream)
+}
+
+/// Reads one response line as JSON.
+fn read_json(reader: &mut BufReader<UnixStream>) -> Json {
+    let mut line = String::new();
+    let n = reader
+        .read_line(&mut line)
+        .expect("answer within the test budget");
+    assert!(n > 0, "server hung up");
+    serve::json::parse(line.trim()).expect("response line is JSON")
+}
+
+/// Shuts a hosted server down over one of its connections and waits for
+/// `run_socket` to return.
+fn shut_down(hosted: &Hosted, reader: &mut BufReader<UnixStream>, writer: &mut UnixStream) {
+    writeln!(writer, "{{\"v\":1,\"id\":999999,\"req\":\"shutdown\"}}").expect("send shutdown");
+    let v = read_json(reader);
+    assert_eq!(v.get("id").and_then(Json::as_u64), Some(999_999), "{v:?}");
+    hosted
+        .stopped
+        .recv_timeout(test_timeout())
+        .expect("run_socket returned after shutdown")
+        .expect("run_socket io");
+}
+
+#[test]
+fn socket_answers_4000_requests_written_before_any_read() {
+    // A pump that wrote answers only between its reads would block on
+    // its write once the answers filled the socket buffer, while this
+    // client blocks on its own: a deadlock.
+    const N: u64 = 4000;
+    let hosted = host(
+        "pipelined",
+        ServeConfig {
+            workers: 2,
+            threads: 1,
+            max_inflight: 8192,
+            ..ServeConfig::default()
+        },
+    );
+    let (mut reader, mut writer) = connect(&hosted.sock);
+    let t0 = Instant::now();
+    let mut batch = String::new();
+    for id in 0..N {
+        batch.push_str(&eval_line(id, usize::try_from(id).expect("small"), ""));
+        batch.push('\n');
+    }
+    writer
+        .write_all(batch.as_bytes())
+        .expect("every request written before any read");
+    let mut seen = std::collections::BTreeSet::new();
+    for _ in 0..N {
+        let v = read_json(&mut reader);
+        assert_eq!(v.get("kind").and_then(Json::as_str), Some("done"), "{v:?}");
+        seen.insert(v.get("id").and_then(Json::as_u64).expect("response id"));
+    }
+    assert_eq!(seen.len() as u64, N, "every request answered once");
+    assert!(
+        t0.elapsed() < test_timeout(),
+        "4000 answers took {:?}",
+        t0.elapsed()
+    );
+    shut_down(&hosted, &mut reader, &mut writer);
+}
+
+#[test]
+fn socket_closed_loop_round_trips_wait_for_no_tick() {
+    // A pump that wrote answers only after its next read returned would
+    // make a client that waits for each answer wait out the read timeout
+    // on every request.
+    let hosted = host(
+        "closed",
+        ServeConfig {
+            workers: 2,
+            threads: 1,
+            ..ServeConfig::default()
+        },
+    );
+    let (mut reader, mut writer) = connect(&hosted.sock);
+    let mut round_trips = Vec::new();
+    for id in 0..40u64 {
+        let t0 = Instant::now();
+        writeln!(writer, "{}", eval_line(id, 1, "")).expect("send");
+        let v = read_json(&mut reader);
+        round_trips.push(t0.elapsed());
+        assert_eq!(v.get("kind").and_then(Json::as_str), Some("done"), "{v:?}");
+    }
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(10),
+        "median closed-loop round trip {median:?}"
+    );
+    shut_down(&hosted, &mut reader, &mut writer);
+}
+
+#[test]
+fn socket_shutdown_wakes_an_idle_connection() {
+    // Readers block on their connections. A `shutdown` request has to
+    // wake the idle one, or run_socket would wait for it for ever.
+    let hosted = host(
+        "idle",
+        ServeConfig {
+            workers: 1,
+            threads: 1,
+            ..ServeConfig::default()
+        },
+    );
+    let (mut idle_reader, mut idle_writer) = connect(&hosted.sock);
+    // One round trip, so the idle connection is served before it idles.
+    writeln!(idle_writer, "{{\"v\":1,\"id\":1,\"req\":\"status\"}}").expect("send status");
+    assert_eq!(
+        read_json(&mut idle_reader)
+            .get("kind")
+            .and_then(Json::as_str),
+        Some("done")
+    );
+    let (mut reader, mut writer) = connect(&hosted.sock);
+    shut_down(&hosted, &mut reader, &mut writer);
+    // The server closed the idle connection on its way out.
+    let mut line = String::new();
+    assert_eq!(
+        idle_reader
+            .read_line(&mut line)
+            .expect("read after shutdown"),
+        0,
+        "idle connection sees EOF, got {line:?}"
+    );
+}
+
+#[test]
+fn malformed_fault_plan_stops_both_binaries() {
+    // A typo in a chaos test's plan must not run with no fault armed.
+    let runs: [(&str, &[&str]); 2] = [
+        (env!("CARGO_BIN_EXE_spa-serve"), &["--stdio"]),
+        (env!("CARGO_BIN_EXE_spa-fleet"), &[]),
+    ];
+    for (bin, args) in runs {
+        let out = std::process::Command::new(bin)
+            .args(args)
+            .env("FAULT_PLAN", "cache.poison#x#")
+            .stdin(std::process::Stdio::null())
+            .output()
+            .expect("spawn binary");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !out.status.success(),
+            "{bin} ran with a malformed plan: {err}"
+        );
+        assert!(
+            err.contains("FAULT_PLAN"),
+            "{bin} stderr names the plan: {err}"
+        );
+    }
 }
