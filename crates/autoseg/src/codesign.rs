@@ -28,21 +28,24 @@
 //!
 //! # Anytime execution
 //!
-//! [`run_codesign`] is the generation-granular driver behind all six
-//! methods. Handed a [`RunCtl`], it additionally supports cooperative
-//! deadlines ([`RunStatus::Partial`] instead of lost work), periodic
-//! [`Checkpoint`]s, and `--resume`: optimizer state is persisted as a
-//! per-unit [`bayesopt::Transcript`] and rebuilt by *replay* — the fresh
-//! optimizer re-proposes every recorded generation and re-observes the
-//! recorded values, which restores its RNG stream and history
-//! bit-exactly (divergence is a typed checkpoint error, not silence).
-//! An interrupted-then-resumed search therefore produces the same
-//! [`DesignPoint`] sequence as an uninterrupted one, which
-//! `tests/resume_equiv.rs` pins down.
+//! Every method runs through [`run_codesign`] / [`run_codesign_with`],
+//! naming its [`Method`]. Handed a [`RunCtl`], a search additionally
+//! supports cooperative deadlines ([`RunStatus::Partial`] instead of lost
+//! work), periodic [`Checkpoint`](crate::Checkpoint)s of kind `codesign`,
+//! and `--resume`, all on the generation loop the engine sweep shares.
+//! Optimizer state is persisted as a per-unit [`bayesopt::Transcript`]
+//! and rebuilt by *replay* — the fresh optimizer re-proposes every
+//! recorded generation and re-observes the recorded values, which
+//! restores its RNG stream and history bit-exactly (divergence, or
+//! transcripts that disagree with the checkpoint's `gens_done`, is a
+//! typed checkpoint error, not silence). An interrupted-then-resumed
+//! search therefore produces the same [`DesignPoint`] sequence as an
+//! uninterrupted one, which `tests/resume_equiv.rs` pins down.
 
 use crate::allocate::{allocate_with, manual_design_with};
-use crate::dse::checkpoint::{f64_from_hex, f64_to_hex, Checkpoint, CheckpointError};
-use crate::dse::control::{Partial, RunCtl, RunStatus};
+use crate::dse::checkpoint::{f64_from_hex, f64_to_hex, CheckpointError};
+use crate::dse::control::{RunCtl, RunStatus};
+use crate::dse::sweep::{Sections, Sweep};
 use crate::dse::{split_seed, DsePool};
 use crate::engine::DesignGoal;
 use crate::error::AutoSegError;
@@ -267,7 +270,7 @@ struct Ctx<'a> {
     inner: usize,
 }
 
-/// Mutable search state: what a checkpoint snapshots and a resume
+/// Mutable search state: what a checkpoint records and a resume
 /// restores.
 #[derive(Default)]
 struct SearchState {
@@ -275,8 +278,6 @@ struct SearchState {
     /// One optimizer transcript per search unit (empty for the chunked
     /// methods, which have no optimizer).
     transcripts: Vec<Transcript>,
-    /// Completed generations (replayed + newly evaluated).
-    gens_done: u64,
 }
 
 /// One independent optimizer run: a `(N, S)` shape with (for the `MIP-*`
@@ -316,101 +317,76 @@ fn parse_point_line(line: &str, method: &'static str) -> Result<DesignPoint, Che
     })
 }
 
-/// Persists the current search state to the ctl's checkpoint path (no-op
-/// when checkpointing is off).
-fn save_state(ctx: &Ctx<'_>, st: &SearchState, planned: u64) -> Result<(), AutoSegError> {
-    let Some(path) = ctx.ctl.checkpoint_path() else {
-        return Ok(());
-    };
-    let mut ck = Checkpoint::new("codesign");
-    ck.set_meta("method", ctx.method.label());
-    ck.set_meta("model", ctx.model_name);
-    ck.set_meta("budget", &ctx.budget.name);
-    ck.set_meta("seed", &ctx.budgets.seed.to_string());
-    ck.set_meta("hw_iters", &ctx.budgets.hw_iters.to_string());
-    ck.set_meta("seg_iters", &ctx.budgets.seg_iters.to_string());
-    ck.set_meta(
-        "energy_model",
-        &format!("{:016x}", ctx.cache.model_fingerprint()),
-    );
-    ck.set_meta("gens_done", &st.gens_done.to_string());
-    ck.set_meta("planned_gens", &planned.to_string());
-    ck.push_section("points", st.pts.iter().map(point_line).collect());
+/// A search state's checkpoint sections: its points, then the transcript
+/// of every unit that has run.
+fn sections(st: &SearchState) -> Sections {
+    let mut out = vec![(
+        "points".to_string(),
+        st.pts.iter().map(point_line).collect(),
+    )];
     for (u, t) in st.transcripts.iter().enumerate() {
         if !t.is_empty() {
-            ck.push_section(&format!("unit.{u}"), t.to_lines());
+            out.push((format!("unit.{u}"), t.to_lines()));
         }
     }
-    ck.push_section("cache", ctx.cache.export_lines());
-    ck.save(path)?;
-    obs::event(
-        "codesign.checkpoint",
-        &[
-            ("method", ctx.method.label().into()),
-            ("gens", st.gens_done.into()),
-            ("points", st.pts.len().into()),
-        ],
-    );
-    Ok(())
+    out
 }
 
-/// Loads and validates a checkpoint against the live run configuration,
-/// restoring points, per-unit transcripts and the shared cost cache.
-fn restore_state(ctx: &Ctx<'_>, st: &mut SearchState) -> Result<(), AutoSegError> {
-    let Some(path) = ctx.ctl.resume_from() else {
-        return Ok(());
-    };
-    let ck = Checkpoint::load(path)?;
-    ck.require(
-        "codesign",
-        &[
-            ("method", ctx.method.label()),
-            ("model", ctx.model_name),
-            ("budget", &ctx.budget.name),
-            ("seed", &ctx.budgets.seed.to_string()),
-            ("hw_iters", &ctx.budgets.hw_iters.to_string()),
-            ("seg_iters", &ctx.budgets.seg_iters.to_string()),
-            (
-                "energy_model",
-                &format!("{:016x}", ctx.cache.model_fingerprint()),
-            ),
-        ],
-    )?;
-    st.gens_done = ck.meta_u64("gens_done")?;
-    for line in ck.section("points") {
-        st.pts.push(parse_point_line(line, ctx.method.label())?);
+impl Ctx<'_> {
+    /// The anytime driver of this run (checkpoint kind `codesign`).
+    fn sweep(&self, planned: u64) -> Sweep<'_> {
+        Sweep::new(
+            "codesign",
+            vec![
+                ("method", self.method.label().to_string()),
+                ("model", self.model_name.to_string()),
+                ("budget", self.budget.name.clone()),
+                ("seed", self.budgets.seed.to_string()),
+                ("hw_iters", self.budgets.hw_iters.to_string()),
+                ("seg_iters", self.budgets.seg_iters.to_string()),
+            ],
+            self.cache,
+            self.ctl,
+            planned,
+        )
     }
-    // Units run sequentially, so non-empty transcripts form a prefix.
-    for u in 0.. {
-        let lines = ck.section(&format!("unit.{u}"));
-        if lines.is_empty() {
-            break;
-        }
-        let t = Transcript::from_lines(lines.iter().map(String::as_str)).map_err(|e| {
-            CheckpointError::Corrupt {
-                path: format!("unit.{u}"),
-                reason: e.to_string(),
+
+    /// The search state and completed generation count to start from:
+    /// restored from the ctl's checkpoint, or fresh. `units` is the
+    /// number of optimizer units (0 for the chunked methods).
+    fn resume(&self, sweep: &Sweep<'_>, units: usize) -> Result<(SearchState, u64), AutoSegError> {
+        let mut st = SearchState::default();
+        let mut gens = 0;
+        if let Some((ck, done)) = sweep.resume()? {
+            for line in ck.section("points") {
+                st.pts.push(parse_point_line(line, self.method.label())?);
             }
-        })?;
-        st.transcripts.push(t);
+            // Units run sequentially, so non-empty transcripts form a prefix.
+            for u in 0.. {
+                let lines = ck.section(&format!("unit.{u}"));
+                if lines.is_empty() {
+                    break;
+                }
+                if u == units {
+                    return Err(CheckpointError::Corrupt {
+                        path: "transcripts".into(),
+                        reason: format!("more unit transcripts than the {units} units"),
+                    }
+                    .into());
+                }
+                let t = Transcript::from_lines(lines.iter().map(String::as_str)).map_err(|e| {
+                    CheckpointError::Corrupt {
+                        path: format!("unit.{u}"),
+                        reason: e.to_string(),
+                    }
+                })?;
+                st.transcripts.push(t);
+            }
+            gens = done;
+        }
+        st.transcripts.resize_with(units, Transcript::new);
+        Ok((st, gens))
     }
-    for line in ck.section("cache") {
-        ctx.cache
-            .import_line(line)
-            .map_err(|e| CheckpointError::Corrupt {
-                path: "cache-section".into(),
-                reason: e.to_string(),
-            })?;
-    }
-    obs::event(
-        "codesign.resume",
-        &[
-            ("method", ctx.method.label().into()),
-            ("gens", st.gens_done.into()),
-            ("points", st.pts.len().into()),
-        ],
-    );
-    Ok(())
 }
 
 /// The optimizer a method's hardware search uses. The chunked methods
@@ -467,10 +443,10 @@ fn eval_candidate(ctx: &Ctx<'_>, unit: &Unit, k: usize, sample: &[usize]) -> Opt
 /// Driver for the optimizer-backed methods (MIP-Random / MIP-Baye /
 /// MIP-Anneal / Baye-Baye): one optimizer per unit, generation-batched
 /// ask → parallel evaluate → ordered tell, transcripts recorded for
-/// checkpointing, resume via replay.
+/// checkpointing, resume via replay. Every unit runs the same number of
+/// generations, so generation `g` belongs to unit `g / gens_per_unit`.
 fn run_optimized(
     ctx: &Ctx<'_>,
-    mut st: SearchState,
     all_shapes: &[(usize, usize)],
 ) -> Result<CodesignRun, AutoSegError> {
     let seg = ChainDpSegmenter::new();
@@ -497,46 +473,55 @@ fn run_optimized(
         (ctx.budgets.hw_iters / all_shapes.len()).max(4)
     };
     let gens_per_unit = per_unit.div_ceil(GENERATION) as u64;
-    let planned = units.len() as u64 * gens_per_unit;
-    if st.transcripts.len() > units.len() {
-        return Err(CheckpointError::Corrupt {
-            path: "transcripts".into(),
-            reason: format!(
-                "{} unit transcripts for {} units",
-                st.transcripts.len(),
-                units.len()
-            ),
-        }
-        .into());
-    }
-    st.transcripts.resize_with(units.len(), Transcript::new);
-
-    let mut gens_seen = 0u64;
-    for (u, unit) in units.iter().enumerate() {
-        let mut opt = make_opt(ctx.method, hw_space(unit.shape.0, ctx.budget), ctx.budgets.seed);
-        if !st.transcripts[u].is_empty() {
-            st.transcripts[u]
-                .replay(opt.as_mut())
-                .map_err(|e| CheckpointError::Corrupt {
-                    path: format!("unit.{u}"),
-                    reason: e.to_string(),
-                })?;
-        }
-        gens_seen += st.transcripts[u].gens() as u64;
-        let mut done = st.transcripts[u].evals();
-        while done < per_unit {
-            if let Some(reason) = ctx.ctl.should_stop(gens_seen) {
-                st.gens_done = gens_seen;
-                save_state(ctx, &st, planned)?;
-                return Ok(CodesignRun {
-                    points: st.pts,
-                    status: RunStatus::Partial(Partial {
-                        completed_gens: gens_seen,
-                        planned_gens: planned,
-                        reason,
-                    }),
-                });
+    let sweep = ctx.sweep(units.len() as u64 * gens_per_unit);
+    let (mut st, from) = ctx.resume(&sweep, units.len())?;
+    // The transcripts must hold exactly the generations `gens_done`
+    // counts, each full but a unit's last: the loop below continues from
+    // `gens_done`, the optimizers from their transcripts.
+    for (u, t) in st.transcripts.iter().enumerate() {
+        let want = from
+            .saturating_sub(u as u64 * gens_per_unit)
+            .min(gens_per_unit);
+        if t.gens() as u64 != want || t.evals() != per_unit.min(want as usize * GENERATION) {
+            return Err(CheckpointError::Corrupt {
+                path: format!("unit.{u}"),
+                reason: format!(
+                    "{} generations of {} evaluations recorded, gens_done {from} implies {want}",
+                    t.gens(),
+                    t.evals()
+                ),
             }
+            .into());
+        }
+    }
+
+    // The running unit's optimizer, built at the unit's first generation
+    // (or rebuilt by replaying its transcript when a resume lands mid-unit).
+    let mut current: Option<(usize, Box<dyn Optimizer>)> = None;
+    let status = sweep.run(
+        &mut st,
+        from,
+        |st, g| {
+            let u = (g / gens_per_unit) as usize;
+            let unit = &units[u];
+            let mut opt = match current.take() {
+                Some((cu, opt)) if cu == u => opt,
+                _ => {
+                    let mut opt = make_opt(
+                        ctx.method,
+                        hw_space(unit.shape.0, ctx.budget),
+                        ctx.budgets.seed,
+                    );
+                    st.transcripts[u].replay(opt.as_mut()).map_err(|e| {
+                        CheckpointError::Corrupt {
+                            path: format!("unit.{u}"),
+                            reason: e.to_string(),
+                        }
+                    })?;
+                    opt
+                }
+            };
+            let done = (g % gens_per_unit) as usize * GENERATION;
             let k = GENERATION.min(per_unit - done);
             let samples = opt.suggest_batch(k);
             let evals = ctx
@@ -556,16 +541,14 @@ fn run_optimized(
             }
             opt.observe_batch(batch.clone());
             st.transcripts[u].push_gen(batch);
-            done += k;
-            gens_seen += 1;
-            st.gens_done = gens_seen;
+            current = Some((u, opt));
             // Best-so-far per generation: the convergence curve of Fig 18.
             if obs::enabled() {
                 obs::event(
                     "codesign.generation",
                     &[
                         ("method", ctx.method.label().into()),
-                        ("iter", done.into()),
+                        ("iter", (done + k).into()),
                         (
                             "best_latency_s",
                             best_feasible_latency(&st.pts, f64::INFINITY).into(),
@@ -573,101 +556,73 @@ fn run_optimized(
                     ],
                 );
             }
-            if ctx.ctl.should_checkpoint(gens_seen) {
-                save_state(ctx, &st, planned)?;
-            }
-        }
-    }
-    st.gens_done = gens_seen;
-    // Final checkpoint: resuming a finished run is then a cheap no-op
-    // that replays to the same Complete result.
-    save_state(ctx, &st, planned)?;
+            Ok(())
+        },
+        sections,
+    )?;
     Ok(CodesignRun {
         points: st.pts,
-        status: RunStatus::Complete,
+        status,
     })
 }
 
 /// Driver for the optimizer-free methods (MIP-Heuristic /
 /// Baye-Heuristic): the shape list is evaluated in [`GENERATION`]-sized
 /// chunks, each chunk one resumable generation.
-fn run_chunked(
-    ctx: &Ctx<'_>,
-    mut st: SearchState,
-    all_shapes: &[(usize, usize)],
-) -> Result<CodesignRun, AutoSegError> {
+fn run_chunked(ctx: &Ctx<'_>, all_shapes: &[(usize, usize)]) -> Result<CodesignRun, AutoSegError> {
     let seg = ChainDpSegmenter::new();
     let per_shape = (ctx.budgets.seg_iters / all_shapes.len().max(1)).max(8);
     let chunks: Vec<&[(usize, usize)]> = all_shapes.chunks(GENERATION).collect();
-    let planned = chunks.len() as u64;
-    let resumed = st.gens_done;
-    let mut gens_seen = 0u64;
-    for chunk in &chunks {
-        if gens_seen < resumed {
-            // This generation's points were restored from the checkpoint.
-            gens_seen += 1;
-            continue;
-        }
-        if let Some(reason) = ctx.ctl.should_stop(gens_seen) {
-            st.gens_done = gens_seen;
-            save_state(ctx, &st, planned)?;
-            return Ok(CodesignRun {
-                points: st.pts,
-                status: RunStatus::Partial(Partial {
-                    completed_gens: gens_seen,
-                    planned_gens: planned,
-                    reason,
-                }),
-            });
-        }
-        let evals = ctx.pool.par_map(
-            chunk,
-            |_, &(n, s)| -> Result<Option<DesignPoint>, AutoSegError> {
-                let schedule = if ctx.method == Method::BayeHeuristic {
-                    let bayes = BayesSegmenter::new(ctx.budgets.seed, per_shape);
-                    match bayes.segment(ctx.workload, n, s) {
-                        Ok(sch) => sch,
-                        Err(_) => return Ok(None),
-                    }
-                } else {
-                    match seg.segment(ctx.workload, n, s) {
-                        Ok(sch) => sch,
-                        Err(_) => return Ok(None),
-                    }
-                };
-                let design = allocate_with(
-                    ctx.workload,
-                    &schedule,
-                    ctx.budget,
-                    DesignGoal::Latency,
-                    ctx.cache,
-                )?;
-                Ok(point(
-                    ctx.workload,
-                    &design,
-                    ctx.budget,
-                    ctx.method.label(),
-                    (n, s),
-                    ctx.cache,
-                ))
-            },
-        );
-        for e in evals {
-            if let Some(p) = e? {
-                st.pts.push(p);
+    let sweep = ctx.sweep(chunks.len() as u64);
+    let (mut st, from) = ctx.resume(&sweep, 0)?;
+    let status = sweep.run(
+        &mut st,
+        from,
+        |st, g| {
+            let evals = ctx.pool.par_map(
+                chunks[g as usize],
+                |_, &(n, s)| -> Result<Option<DesignPoint>, AutoSegError> {
+                    let schedule = if ctx.method == Method::BayeHeuristic {
+                        let bayes = BayesSegmenter::new(ctx.budgets.seed, per_shape);
+                        match bayes.segment(ctx.workload, n, s) {
+                            Ok(sch) => sch,
+                            Err(_) => return Ok(None),
+                        }
+                    } else {
+                        match seg.segment(ctx.workload, n, s) {
+                            Ok(sch) => sch,
+                            Err(_) => return Ok(None),
+                        }
+                    };
+                    let design = allocate_with(
+                        ctx.workload,
+                        &schedule,
+                        ctx.budget,
+                        DesignGoal::Latency,
+                        ctx.cache,
+                    )?;
+                    Ok(point(
+                        ctx.workload,
+                        &design,
+                        ctx.budget,
+                        ctx.method.label(),
+                        (n, s),
+                        ctx.cache,
+                    ))
+                },
+            );
+            for e in evals {
+                if let Some(p) = e? {
+                    st.pts.push(p);
+                }
             }
-        }
-        gens_seen += 1;
-        st.gens_done = gens_seen;
-        if ctx.ctl.should_checkpoint(gens_seen) {
-            save_state(ctx, &st, planned)?;
-        }
-    }
-    st.gens_done = gens_seen.max(resumed);
-    save_state(ctx, &st, planned)?;
+            Ok(())
+        },
+        sections,
+    )?;
     Ok(CodesignRun {
         points: st.pts,
-        status: RunStatus::Complete,
+        status,
     })
 }
 
@@ -687,13 +642,15 @@ pub fn run_codesign(
     run_codesign_with(model, budget, budgets, method, &budgets.pool(), &EvalCache::default(), ctl)
 }
 
-/// The generation-granular anytime driver behind every co-design method.
+/// The generation-granular anytime driver behind every co-design method,
+/// on an explicit pool and cost cache.
 ///
-/// With `RunCtl::none()` this produces exactly what the per-method entry
-/// points ([`mip_baye`], [`baye_baye`], …) produce — they are thin
-/// wrappers over it. A ctl adds deadline / generation-budget stops
+/// With `RunCtl::none()` the search runs every planned generation and
+/// returns `Complete`. A ctl adds deadline / generation-budget stops
 /// (typed [`RunStatus::Partial`], never lost work), periodic checkpoints
 /// and resume; see the module docs for the replay-based state model.
+/// MIP-Heuristic's points depend on no field of `budgets`; the pool width
+/// never changes any method's points.
 ///
 /// # Errors
 ///
@@ -713,6 +670,13 @@ pub fn run_codesign_with(
     let _span = obs::span!("codesign.run", method = method.label(), model = model.name());
     let workload = Workload::from_graph(model);
     let all_shapes = shapes(&workload, budget);
+    if all_shapes.is_empty() {
+        // No pipeline fits (a one-PE budget or a one-item model).
+        return Ok(CodesignRun {
+            points: Vec::new(),
+            status: RunStatus::Complete,
+        });
+    }
     let inner = (budgets.seg_iters / budgets.hw_iters.max(1)).max(4);
     let ctx = Ctx {
         workload: &workload,
@@ -725,154 +689,10 @@ pub fn run_codesign_with(
         ctl,
         inner,
     };
-    let mut st = SearchState::default();
-    restore_state(&ctx, &mut st)?;
-    if all_shapes.is_empty() {
-        return Ok(CodesignRun {
-            points: st.pts,
-            status: RunStatus::Complete,
-        });
-    }
     match method {
-        Method::MipHeuristic | Method::BayeHeuristic => run_chunked(&ctx, st, &all_shapes),
-        _ => run_optimized(&ctx, st, &all_shapes),
+        Method::MipHeuristic | Method::BayeHeuristic => run_chunked(&ctx, &all_shapes),
+        _ => run_optimized(&ctx, &all_shapes),
     }
-}
-
-/// MIP-Heuristic: the AutoSeg engine's own candidates — one point per
-/// feasible `(N, S)` shape.
-pub fn mip_heuristic(
-    model: &Graph,
-    budget: &HwBudget,
-) -> Result<Vec<DesignPoint>, AutoSegError> {
-    mip_heuristic_with(model, budget, &DsePool::from_env(), &EvalCache::default())
-}
-
-/// [`mip_heuristic`] on an explicit pool and cost cache. Shapes are
-/// independent, so each chunk fans out across the pool.
-pub fn mip_heuristic_with(
-    model: &Graph,
-    budget: &HwBudget,
-    pool: &DsePool,
-    cache: &EvalCache,
-) -> Result<Vec<DesignPoint>, AutoSegError> {
-    let budgets = CodesignBudgets::default();
-    run_codesign_with(model, budget, &budgets, Method::MipHeuristic, pool, cache, &RunCtl::none())
-        .map(|r| r.points)
-}
-
-/// MIP-Anneal: exact segmentation + simulated-annealing hardware search (a
-/// local-search contrast to TPE's model-based sampling; not in the paper's
-/// baseline set but a natural ablation of the search strategy).
-pub fn mip_anneal(
-    model: &Graph,
-    budget: &HwBudget,
-    budgets: &CodesignBudgets,
-) -> Result<Vec<DesignPoint>, AutoSegError> {
-    mip_anneal_with(model, budget, budgets, &budgets.pool(), &EvalCache::default())
-}
-
-/// [`mip_anneal`] on an explicit pool and cost cache.
-pub fn mip_anneal_with(
-    model: &Graph,
-    budget: &HwBudget,
-    budgets: &CodesignBudgets,
-    pool: &DsePool,
-    cache: &EvalCache,
-) -> Result<Vec<DesignPoint>, AutoSegError> {
-    run_codesign_with(model, budget, budgets, Method::MipAnneal, pool, cache, &RunCtl::none())
-        .map(|r| r.points)
-}
-
-/// MIP-Random: exact segmentation + uniform-random hardware sampling.
-pub fn mip_random(
-    model: &Graph,
-    budget: &HwBudget,
-    budgets: &CodesignBudgets,
-) -> Result<Vec<DesignPoint>, AutoSegError> {
-    mip_random_with(model, budget, budgets, &budgets.pool(), &EvalCache::default())
-}
-
-/// [`mip_random`] on an explicit pool and cost cache.
-pub fn mip_random_with(
-    model: &Graph,
-    budget: &HwBudget,
-    budgets: &CodesignBudgets,
-    pool: &DsePool,
-    cache: &EvalCache,
-) -> Result<Vec<DesignPoint>, AutoSegError> {
-    run_codesign_with(model, budget, budgets, Method::MipRandom, pool, cache, &RunCtl::none())
-        .map(|r| r.points)
-}
-
-/// MIP-Baye: exact segmentation + TPE hardware search.
-pub fn mip_baye(
-    model: &Graph,
-    budget: &HwBudget,
-    budgets: &CodesignBudgets,
-) -> Result<Vec<DesignPoint>, AutoSegError> {
-    mip_baye_with(model, budget, budgets, &budgets.pool(), &EvalCache::default())
-}
-
-/// [`mip_baye`] on an explicit pool and cost cache.
-pub fn mip_baye_with(
-    model: &Graph,
-    budget: &HwBudget,
-    budgets: &CodesignBudgets,
-    pool: &DsePool,
-    cache: &EvalCache,
-) -> Result<Vec<DesignPoint>, AutoSegError> {
-    run_codesign_with(model, budget, budgets, Method::MipBaye, pool, cache, &RunCtl::none())
-        .map(|r| r.points)
-}
-
-/// Baye-Heuristic: TPE segmentation + Algorithm 1 hardware.
-pub fn baye_heuristic(
-    model: &Graph,
-    budget: &HwBudget,
-    budgets: &CodesignBudgets,
-) -> Result<Vec<DesignPoint>, AutoSegError> {
-    baye_heuristic_with(model, budget, budgets, &budgets.pool(), &EvalCache::default())
-}
-
-/// [`baye_heuristic`] on an explicit pool and cost cache. Each shape runs
-/// its own independent TPE segmentation search, so shapes fan out across
-/// the pool.
-pub fn baye_heuristic_with(
-    model: &Graph,
-    budget: &HwBudget,
-    budgets: &CodesignBudgets,
-    pool: &DsePool,
-    cache: &EvalCache,
-) -> Result<Vec<DesignPoint>, AutoSegError> {
-    run_codesign_with(model, budget, budgets, Method::BayeHeuristic, pool, cache, &RunCtl::none())
-        .map(|r| r.points)
-}
-
-/// Baye-Baye: nested TPE loops — outer over hardware, inner over
-/// segmentation, latency-only feedback (the bi-loop structure that tends
-/// to fall into local optima, Section VI-G point 3).
-pub fn baye_baye(
-    model: &Graph,
-    budget: &HwBudget,
-    budgets: &CodesignBudgets,
-) -> Result<Vec<DesignPoint>, AutoSegError> {
-    baye_baye_with(model, budget, budgets, &budgets.pool(), &EvalCache::default())
-}
-
-/// [`baye_baye`] on an explicit pool and cost cache. The outer hardware
-/// TPE is generation-batched; each candidate's inner segmentation search
-/// gets a seed derived from its *global* iteration index
-/// ([`split_seed`]), so the trajectory is thread-count independent.
-pub fn baye_baye_with(
-    model: &Graph,
-    budget: &HwBudget,
-    budgets: &CodesignBudgets,
-    pool: &DsePool,
-    cache: &EvalCache,
-) -> Result<Vec<DesignPoint>, AutoSegError> {
-    run_codesign_with(model, budget, budgets, Method::BayeBaye, pool, cache, &RunCtl::none())
-        .map(|r| r.points)
 }
 
 #[cfg(test)]
@@ -890,18 +710,46 @@ mod tests {
         }
     }
 
+    /// One method's uninterrupted point cloud.
+    fn points(
+        model: &Graph,
+        budget: &HwBudget,
+        b: &CodesignBudgets,
+        method: Method,
+    ) -> Result<Vec<DesignPoint>, AutoSegError> {
+        run_codesign(model, budget, b, method, &RunCtl::none()).map(|r| r.points)
+    }
+
     #[test]
     fn all_methods_produce_feasible_points() {
         let model = zoo::alexnet_conv();
         let budget = HwBudget::nvdla_small();
         let b = tiny_budgets();
         let runs: Vec<(&str, Vec<DesignPoint>)> = vec![
-            ("mip-heuristic", mip_heuristic(&model, &budget).unwrap()),
-            ("mip-random", mip_random(&model, &budget, &b).unwrap()),
-            ("mip-baye", mip_baye(&model, &budget, &b).unwrap()),
-            ("baye-heuristic", baye_heuristic(&model, &budget, &b).unwrap()),
-            ("baye-baye", baye_baye(&model, &budget, &b).unwrap()),
-            ("mip-anneal", mip_anneal(&model, &budget, &b).unwrap()),
+            (
+                "mip-heuristic",
+                points(&model, &budget, &b, Method::MipHeuristic).unwrap(),
+            ),
+            (
+                "mip-random",
+                points(&model, &budget, &b, Method::MipRandom).unwrap(),
+            ),
+            (
+                "mip-baye",
+                points(&model, &budget, &b, Method::MipBaye).unwrap(),
+            ),
+            (
+                "baye-heuristic",
+                points(&model, &budget, &b, Method::BayeHeuristic).unwrap(),
+            ),
+            (
+                "baye-baye",
+                points(&model, &budget, &b, Method::BayeBaye).unwrap(),
+            ),
+            (
+                "mip-anneal",
+                points(&model, &budget, &b, Method::MipAnneal).unwrap(),
+            ),
         ];
         for (name, pts) in &runs {
             assert!(!pts.is_empty(), "{name} produced no points");
@@ -922,8 +770,8 @@ mod tests {
                 .map(|p| p.latency_s)
                 .fold(f64::INFINITY, f64::min)
         };
-        let h = best(&mip_heuristic(&model, &budget).unwrap());
-        let r = best(&mip_random(&model, &budget, &b).unwrap());
+        let h = best(&points(&model, &budget, &b, Method::MipHeuristic).unwrap());
+        let r = best(&points(&model, &budget, &b, Method::MipRandom).unwrap());
         assert!(h <= r * 1.05, "heuristic {h} vs random {r}");
     }
 
@@ -937,8 +785,8 @@ mod tests {
         let max_e = |pts: &[DesignPoint]| {
             pts.iter().map(|p| p.energy_pj).fold(0.0f64, f64::max)
         };
-        let h = max_e(&mip_heuristic(&model, &budget).unwrap());
-        let r = max_e(&mip_random(&model, &budget, &b).unwrap());
+        let h = max_e(&points(&model, &budget, &b, Method::MipHeuristic).unwrap());
+        let r = max_e(&points(&model, &budget, &b, Method::MipRandom).unwrap());
         assert!(h <= r, "heuristic max energy {h} vs random {r}");
     }
 
@@ -981,23 +829,6 @@ mod tests {
             assert_eq!(m.to_string(), m.label());
         }
         assert_eq!(Method::parse("nope"), None);
-    }
-
-    #[test]
-    fn anytime_driver_matches_legacy_entry_points() {
-        // RunCtl::none() must be the identity: the ctl-aware driver and
-        // the plain wrappers produce the same point sequence.
-        let model = zoo::alexnet_conv();
-        let budget = HwBudget::nvdla_small();
-        let b = tiny_budgets();
-        for (method, legacy) in [
-            (Method::MipBaye, mip_baye(&model, &budget, &b).unwrap()),
-            (Method::BayeBaye, baye_baye(&model, &budget, &b).unwrap()),
-        ] {
-            let run = run_codesign(&model, &budget, &b, method, &RunCtl::none()).unwrap();
-            assert!(run.status.is_complete());
-            assert_eq!(run.points, legacy, "{method}");
-        }
     }
 
     #[test]

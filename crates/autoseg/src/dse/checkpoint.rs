@@ -10,16 +10,21 @@
 //! end <fnv1a-64 checksum, 16 hex digits>
 //! ```
 //!
-//! * The header pins a format version (`1`) and a `kind` tag
-//!   (`codesign`, `engine`, `multi`, `generality`) so a checkpoint can
-//!   never be resumed by the wrong search.
+//! * The header pins a format version (`1`) and a `kind` tag so a
+//!   checkpoint can never be resumed by the wrong search. The resumable
+//!   searches write `engine` (the `(N, S)` sweep) and `codesign` (the
+//!   co-design methods), both through the one driver in `dse::sweep`;
+//!   `spa-serve`'s warm-cache snapshot is kind `evalcache`.
 //! * `meta` lines carry the run configuration (model, budget, seed,
-//!   iteration counts, the energy model fingerprint). Resume validates
-//!   every one against the live run and fails with a typed
-//!   [`CheckpointError::Mismatch`] on drift.
-//! * Sections hold the actual state: serialized design points, one
-//!   optimizer transcript per search unit ([`bayesopt::Transcript`]
-//!   lines) and the shared [`pucost::EvalCache`] contents.
+//!   iteration counts, the energy model fingerprint), then `gens_done`
+//!   and `planned_gens`. Resume validates every configuration key against
+//!   the live run and fails with a typed [`CheckpointError::Mismatch`] on
+//!   drift; a `gens_done` above the plan, or sections that do not hold
+//!   exactly `gens_done` generations, are [`CheckpointError::Corrupt`].
+//! * Sections hold the actual state: the engine's per-shape results or
+//!   the co-design points and one optimizer transcript per search unit
+//!   ([`bayesopt::Transcript`] lines), then the shared
+//!   [`pucost::EvalCache`] contents in a last `cache` section.
 //! * Floats are stored as IEEE-754 bit patterns ([`f64_to_hex`]), never
 //!   decimal, so a round trip is bit-exact.
 //! * The `end` checksum covers every preceding byte. A torn write — a

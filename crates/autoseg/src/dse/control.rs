@@ -1,26 +1,29 @@
 //! Anytime-execution control: deadlines, generation budgets, checkpoint
 //! cadence.
 //!
-//! Every long-running search in this crate (the engine's `(N, S)` sweep,
-//! the co-design baselines, the multi-model joint search, the generality
-//! remap) is organized in *generations* — fixed work quanta evaluated
-//! atomically. A [`RunCtl`] tells such a search when to stop early and
-//! where to persist progress; the search answers with a [`RunStatus`]
-//! that is either `Complete` or a typed [`Partial`] carrying best-so-far
+//! The resumable searches of this crate — the engine's `(N, S)` sweep
+//! (checkpoint kind `engine`) and the co-design methods (kind
+//! `codesign`) — are organized in *generations*: fixed work quanta
+//! evaluated atomically, driven by one shared loop (`dse::sweep`). A
+//! [`RunCtl`] tells such a search when to stop early and where to
+//! persist progress; the search answers with a [`RunStatus`] that is
+//! either `Complete` or a typed [`Partial`] carrying best-so-far
 //! provenance. Stopping is cooperative and only happens **at generation
 //! boundaries**, so a deadline never tears a half-observed optimizer
 //! batch and a resumed run replays exactly the generations the
 //! checkpoint recorded.
 //!
-//! Two stop conditions exist:
+//! Three stop conditions exist:
 //!
 //! * **Generation budget** ([`RunCtl::stop_after_gens`]) — fully
 //!   deterministic; the reference "kill model" the resume-equivalence
 //!   tests use to interrupt a run at a known point.
-//! * **Deadline** ([`RunCtl::deadline`] / the `DSE_DEADLINE_MS`
-//!   environment variable) — wall-clock, inherently nondeterministic in
-//!   *where* it stops, but the result is still a valid best-so-far
+//! * **Deadline** ([`RunCtl::deadline`], the `--deadline` flag of
+//!   `spa-gen` and `bench_dse`) — wall-clock, inherently nondeterministic
+//!   in *where* it stops, but the result is still a valid best-so-far
 //!   design set and the status records how far the search got.
+//! * **Cancellation** ([`RunCtl::cancel_flag`]) — a shared flag another
+//!   party raises, e.g. `spa-serve` on a `cancel` request or shutdown.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -33,8 +36,7 @@ use std::time::{Duration, Instant};
 /// Why a search stopped before finishing its planned generations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopReason {
-    /// The wall-clock deadline expired (`DSE_DEADLINE_MS` or
-    /// [`RunCtl::deadline`]).
+    /// The wall-clock deadline ([`RunCtl::deadline`]) expired.
     Deadline,
     /// The deterministic generation budget ([`RunCtl::stop_after_gens`])
     /// was exhausted.
@@ -85,7 +87,8 @@ impl RunStatus {
     }
 }
 
-/// Anytime-execution policy handed to the `_ctl` search entry points.
+/// Anytime-execution policy handed to the anytime entry points
+/// ([`crate::AutoSeg::run_ctl`], [`crate::codesign::run_codesign`]).
 ///
 /// The default ([`RunCtl::none`]) imposes nothing: no deadline, no
 /// generation budget, no checkpointing — the search behaves exactly like
@@ -148,19 +151,6 @@ impl RunCtl {
     pub fn resume(mut self, path: impl Into<PathBuf>) -> Self {
         self.resume_from = Some(path.into());
         self
-    }
-
-    /// Applies the `DSE_DEADLINE_MS` environment variable (a positive
-    /// integer of milliseconds) as a deadline, if set and parseable.
-    /// Unset, empty, zero or garbage leave the policy unchanged.
-    pub fn deadline_from_env(self) -> Self {
-        match std::env::var("DSE_DEADLINE_MS") {
-            Ok(v) => match v.trim().parse::<u64>() {
-                Ok(ms) if ms > 0 => self.deadline(Duration::from_millis(ms)),
-                _ => self,
-            },
-            Err(_) => self,
-        }
     }
 
     /// The checkpoint path, if checkpointing is enabled.
@@ -257,15 +247,6 @@ mod tests {
         // every = 0 clamps to 1 rather than dividing by zero.
         let every_gen = RunCtl::none().checkpoint("/tmp/x.ckpt", 0);
         assert!(every_gen.should_checkpoint(1));
-    }
-
-    #[test]
-    fn deadline_env_parsing_ignores_garbage() {
-        // Process-global env: only exercise the unset/garbage fallbacks
-        // that cannot race other tests' reads.
-        std::env::remove_var("DSE_DEADLINE_MS");
-        let ctl = RunCtl::none().deadline_from_env();
-        assert_eq!(ctl.should_stop(u64::MAX), None, "unset = no deadline");
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //!   ([`faultsim::rng::split_seed`]), so stochastic candidates stay
 //!   reproducible when their evaluation order changes;
 //! * [`checkpoint`] and [`control`] — the anytime execution layer
-//!   (deadlines, cancellation, resumable checkpoints).
+//!   (deadlines, cancellation, resumable checkpoints), with `sweep`, the
+//!   one generation loop the engine sweep (checkpoint kind `engine`) and
+//!   the co-design methods (kind `codesign`) run on.
 //!
 //! The memoized cost cache the DSE workers share lives in
 //! [`pucost::EvalCache`]; a pool plus one cache handle per search is the
@@ -20,6 +22,7 @@
 
 pub mod checkpoint;
 pub mod control;
+pub(crate) mod sweep;
 
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use control::{Partial, RunCtl, RunStatus, StopReason};

@@ -3,8 +3,9 @@
 
 use crate::allocate::allocate_with;
 use crate::codesign::GENERATION;
-use crate::dse::checkpoint::{f64_from_hex, f64_to_hex, Checkpoint, CheckpointError};
-use crate::dse::control::{Partial, RunCtl, RunStatus};
+use crate::dse::checkpoint::{f64_from_hex, f64_to_hex, CheckpointError};
+use crate::dse::control::{RunCtl, RunStatus};
+use crate::dse::sweep::Sweep;
 use crate::dse::DsePool;
 use crate::error::AutoSegError;
 use crate::segment::{ChainDpSegmenter, Segmenter};
@@ -245,6 +246,21 @@ impl AutoSeg {
             DsePool::new(self.threads)
         };
         let cache = EvalCache::default();
+        let chunks: Vec<&[(usize, usize)]> = shapes.chunks(GENERATION).collect();
+        let sweep = Sweep::new(
+            "engine",
+            vec![
+                ("model", workload.name().to_string()),
+                ("budget", self.budget.name.clone()),
+                ("goal", self.goal_label().to_string()),
+                ("max_pus", self.max_pus.to_string()),
+                ("max_segments", self.max_segments.to_string()),
+                ("segmenter", self.segmenter.name().to_string()),
+            ],
+            &cache,
+            ctl,
+            chunks.len() as u64,
+        );
 
         // Per-shape results in enumeration order — `(counted, metric)` —
         // restored from a checkpoint and/or computed below. Designs are
@@ -252,38 +268,25 @@ impl AutoSeg {
         // re-evaluating its shape, which is bit-identical because the
         // evaluation is deterministic (and cache-hot).
         let mut results: Vec<(bool, Option<f64>)> = Vec::new();
-        if let Some(path) = ctl.resume_from() {
-            let ck = Checkpoint::load(path)?;
-            ck.require(
-                "engine",
-                &[
-                    ("model", workload.name()),
-                    ("budget", &self.budget.name),
-                    ("goal", self.goal_label()),
-                    ("max_pus", &self.max_pus.to_string()),
-                    ("max_segments", &self.max_segments.to_string()),
-                    ("segmenter", self.segmenter.name()),
-                    ("energy_model", &format!("{:016x}", cache.model_fingerprint())),
-                ],
-            )?;
+        let mut from = 0;
+        if let Some((ck, gens)) = sweep.resume()? {
             for line in ck.section("shapes") {
                 results.push(parse_shape_line(line)?);
             }
-            if results.len() > shapes.len() {
+            // Exactly the shapes of the first `gens` generations: anything
+            // else would shift later results onto the wrong shapes.
+            let covered = shapes.len().min(gens as usize * GENERATION);
+            if results.len() != covered {
                 return Err(CheckpointError::Corrupt {
                     path: "shapes-section".into(),
-                    reason: format!("{} results for {} shapes", results.len(), shapes.len()),
+                    reason: format!(
+                        "{} results for the {covered} shapes of {gens} generations",
+                        results.len()
+                    ),
                 }
                 .into());
             }
-            for line in ck.section("cache") {
-                cache
-                    .import_line(line)
-                    .map_err(|e| CheckpointError::Corrupt {
-                        path: "cache-section".into(),
-                        reason: e.to_string(),
-                    })?;
-            }
+            from = gens;
         }
 
         // One shape's candidate, built and simulated independently of all
@@ -312,64 +315,21 @@ impl AutoSeg {
             (true, Some((metric, design, report)))
         };
 
-        let save = |results: &[(bool, Option<f64>)], gens: u64, planned: u64| {
-            let Some(path) = ctl.checkpoint_path() else {
-                return Ok(());
-            };
-            let mut ck = Checkpoint::new("engine");
-            ck.set_meta("model", workload.name());
-            ck.set_meta("budget", &self.budget.name);
-            ck.set_meta("goal", self.goal_label());
-            ck.set_meta("max_pus", &self.max_pus.to_string());
-            ck.set_meta("max_segments", &self.max_segments.to_string());
-            ck.set_meta("segmenter", self.segmenter.name());
-            ck.set_meta("energy_model", &format!("{:016x}", cache.model_fingerprint()));
-            ck.set_meta("gens_done", &gens.to_string());
-            ck.set_meta("planned_gens", &planned.to_string());
-            ck.push_section(
-                "shapes",
-                results.iter().map(|&(c, m)| shape_line(c, m)).collect(),
-            );
-            ck.push_section("cache", cache.export_lines());
-            ck.save(path)
-        };
-
-        let chunks: Vec<&[(usize, usize)]> = shapes.chunks(GENERATION).collect();
-        let planned = chunks.len() as u64;
-        let mut gens = 0u64;
-        let mut done_shapes = 0usize;
-        let mut partial: Option<Partial> = None;
-        for chunk in &chunks {
-            if done_shapes + chunk.len() <= results.len() {
-                // Restored from the checkpoint (saves happen only at
-                // generation boundaries, so restored results cover whole
-                // chunks).
-                done_shapes += chunk.len();
-                gens += 1;
-                continue;
-            }
-            if let Some(reason) = ctl.should_stop(gens) {
-                save(&results, gens, planned)?;
-                partial = Some(Partial {
-                    completed_gens: gens,
-                    planned_gens: planned,
-                    reason,
-                });
-                break;
-            }
-            let evals = pool.par_map(chunk, |_, sh| eval_shape(sh));
-            for (counted, candidate) in evals {
-                results.push((counted, candidate.map(|(m, _, _)| m)));
-            }
-            done_shapes = results.len();
-            gens += 1;
-            if ctl.should_checkpoint(gens) {
-                save(&results, gens, planned)?;
-            }
-        }
-        if partial.is_none() {
-            save(&results, gens, planned)?;
-        }
+        let status = sweep.run(
+            &mut results,
+            from,
+            |results, g| {
+                let evals = pool.par_map(chunks[g as usize], |_, sh| eval_shape(sh));
+                for (counted, candidate) in evals {
+                    results.push((counted, candidate.map(|(m, _, _)| m)));
+                }
+                Ok(())
+            },
+            |results| {
+                let lines = results.iter().map(|&(c, m)| shape_line(c, m)).collect();
+                vec![("shapes".to_string(), lines)]
+            },
+        )?;
 
         // Fold in enumeration order with a strict `<`: same winner and
         // tie-breaks as the serial sweep.
@@ -395,7 +355,7 @@ impl AutoSeg {
                     ("shapes", results.len().into()),
                     ("feasible", explored.into()),
                     ("found", best.is_some().into()),
-                    ("complete", partial.is_none().into()),
+                    ("complete", status.is_complete().into()),
                 ],
             );
             cache.stats().publish("engine.cache");
@@ -426,13 +386,7 @@ impl AutoSeg {
             }
             None => None,
         };
-        Ok(AnytimeOutcome {
-            outcome,
-            status: match partial {
-                Some(p) => RunStatus::Partial(p),
-                None => RunStatus::Complete,
-            },
-        })
+        Ok(AnytimeOutcome { outcome, status })
     }
 }
 

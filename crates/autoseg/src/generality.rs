@@ -9,8 +9,6 @@
 //! fabric hardware.
 
 use crate::allocate::eval_pu_segment;
-use crate::dse::checkpoint::{f64_from_hex, f64_to_hex, Checkpoint, CheckpointError};
-use crate::dse::control::{Partial, RunCtl, RunStatus};
 use crate::error::AutoSegError;
 use crate::segment::{ChainDpSegmenter, Segmenter};
 use benes::PrunedFabric;
@@ -89,197 +87,36 @@ pub fn remap(
     dedicated_workload: &Workload,
     new_model: &Graph,
 ) -> Result<(SpaDesign, SimReport), AutoSegError> {
-    let run = remap_ctl(dedicated, dedicated_workload, new_model, &RunCtl::none())?;
-    run.outcome.ok_or_else(|| AutoSegError::NoFeasibleDesign {
-        budget: dedicated.name.clone(),
-        model: Workload::from_graph(new_model).name().to_string(),
-    })
-}
-
-/// Anytime result of [`remap_ctl`].
-#[derive(Debug, Clone)]
-pub struct RemapAnytime {
-    /// Best remapped design over the segment counts evaluated so far.
-    pub outcome: Option<(SpaDesign, SimReport)>,
-    /// `Complete`, or a typed partial with generation provenance.
-    pub status: RunStatus,
-}
-
-fn seg_line(s: usize, metric: Option<f64>) -> String {
-    match metric {
-        Some(m) => format!("s {s} {}", f64_to_hex(m)),
-        None => format!("s {s} -"),
-    }
-}
-
-fn parse_seg_line(line: &str) -> Result<(usize, Option<f64>), CheckpointError> {
-    let corrupt = || CheckpointError::Corrupt {
-        path: "segcounts-section".into(),
-        reason: format!("malformed segcount line: {line}"),
-    };
-    let toks: Vec<&str> = line.split(' ').collect();
-    if toks.len() != 3 || toks[0] != "s" {
-        return Err(corrupt());
-    }
-    let s: usize = toks[1].parse().map_err(|_| corrupt())?;
-    let metric = match toks[2] {
-        "-" => None,
-        hex => Some(f64_from_hex(hex).ok_or_else(corrupt)?),
-    };
-    Ok((s, metric))
-}
-
-/// [`remap`] under an anytime policy: each candidate segment count is one
-/// resumable generation. Per-`s` latency metrics and the shared cost
-/// cache are checkpointed; the winning `s` is rematerialized at the end
-/// (deterministic and cache-hot, so bit-identical).
-///
-/// # Errors
-///
-/// [`AutoSegError::NoFeasibleDesign`] when the *dedicated* design's
-/// fabric cannot be pruned (nothing can ever route), plus
-/// [`AutoSegError::Checkpoint`] for checkpoint I/O / corruption /
-/// configuration mismatches. A remap that found nothing (yet) is
-/// `outcome: None`, not an error.
-pub fn remap_ctl(
-    dedicated: &SpaDesign,
-    dedicated_workload: &Workload,
-    new_model: &Graph,
-    ctl: &RunCtl,
-) -> Result<RemapAnytime, AutoSegError> {
     let workload = Workload::from_graph(new_model);
     let n = dedicated.n_pus();
+    let infeasible = || AutoSegError::NoFeasibleDesign {
+        budget: dedicated.name.clone(),
+        model: workload.name().to_string(),
+    };
     // The PU hardware is frozen, so every relabeling probes the same
     // (layer, PU, dataflow) points — one cache serves the whole remap.
     let cache = EvalCache::default();
     let pruned = dedicated
         .pruned_fabric(dedicated_workload)
-        .map_err(|_| AutoSegError::NoFeasibleDesign {
-            budget: dedicated.name.clone(),
-            model: workload.name().to_string(),
-        })?;
+        .map_err(|_| infeasible())?;
     let segmenter = ChainDpSegmenter::new();
-    let max_s = (workload.len() / n).min(16);
-
-    let mut results: Vec<(usize, Option<f64>)> = Vec::new();
-    if let Some(path) = ctl.resume_from() {
-        let ck = Checkpoint::load(path)?;
-        ck.require(
-            "generality",
-            &[
-                ("dedicated", &dedicated.name),
-                ("model", workload.name()),
-                ("n_pus", &n.to_string()),
-                ("max_s", &max_s.to_string()),
-                ("energy_model", &format!("{:016x}", cache.model_fingerprint())),
-            ],
-        )?;
-        for line in ck.section("segcounts") {
-            results.push(parse_seg_line(line)?);
-        }
-        if results.len() > max_s || results.iter().enumerate().any(|(i, &(s, _))| s != i + 1) {
-            return Err(CheckpointError::Corrupt {
-                path: "segcounts-section".into(),
-                reason: "recorded segment counts do not prefix this run's enumeration".into(),
-            }
-            .into());
-        }
-        for line in ck.section("cache") {
-            cache
-                .import_line(line)
-                .map_err(|e| CheckpointError::Corrupt {
-                    path: "cache-section".into(),
-                    reason: e.to_string(),
-                })?;
-        }
-    }
-
-    let save = |results: &[(usize, Option<f64>)], gens: u64, planned: u64| {
-        let Some(path) = ctl.checkpoint_path() else {
-            return Ok(());
-        };
-        let mut ck = Checkpoint::new("generality");
-        ck.set_meta("dedicated", &dedicated.name);
-        ck.set_meta("model", workload.name());
-        ck.set_meta("n_pus", &n.to_string());
-        ck.set_meta("max_s", &max_s.to_string());
-        ck.set_meta("energy_model", &format!("{:016x}", cache.model_fingerprint()));
-        ck.set_meta("gens_done", &gens.to_string());
-        ck.set_meta("planned_gens", &planned.to_string());
-        ck.push_section(
-            "segcounts",
-            results.iter().map(|&(s, m)| seg_line(s, m)).collect(),
-        );
-        ck.push_section("cache", cache.export_lines());
-        ck.save(path)
-    };
-
-    let planned = max_s as u64;
-    let mut gens = 0u64;
-    let mut partial: Option<Partial> = None;
-    for s in 1..=max_s {
-        if s <= results.len() {
-            gens += 1;
+    // Strict `<` in `s` order: the fewest of equally fast segment counts
+    // wins.
+    let mut best: Option<(SpaDesign, SimReport)> = None;
+    for s in 1..=(workload.len() / n).min(16) {
+        let Some((design, report)) =
+            eval_segcount(dedicated, &workload, &pruned, &segmenter, &cache, n, s)
+        else {
             continue;
-        }
-        if let Some(reason) = ctl.should_stop(gens) {
-            save(&results, gens, planned)?;
-            partial = Some(Partial {
-                completed_gens: gens,
-                planned_gens: planned,
-                reason,
-            });
-            break;
-        }
-        let metric = eval_segcount(dedicated, &workload, &pruned, &segmenter, &cache, n, s)
-            .map(|(_, r)| r.seconds);
-        results.push((s, metric));
-        gens += 1;
-        if ctl.should_checkpoint(gens) {
-            save(&results, gens, planned)?;
+        };
+        if best
+            .as_ref()
+            .is_none_or(|(_, b)| report.seconds < b.seconds)
+        {
+            best = Some((design, report));
         }
     }
-    if partial.is_none() {
-        save(&results, gens, planned)?;
-    }
-
-    // Strict `<` in s order: same winner as the all-at-once loop.
-    let mut best: Option<(f64, usize)> = None;
-    for &(s, metric) in &results {
-        if let Some(m) = metric {
-            if best.as_ref().is_none_or(|(bm, _)| m < *bm) {
-                best = Some((m, s));
-            }
-        }
-    }
-    let outcome = match best {
-        Some((metric, s)) => {
-            match eval_segcount(dedicated, &workload, &pruned, &segmenter, &cache, n, s) {
-                Some((design, report)) => {
-                    debug_assert_eq!(report.seconds.to_bits(), metric.to_bits());
-                    Some((design, report))
-                }
-                // A recorded metric for a segment count that does not
-                // evaluate routable can only come from a checkpoint that
-                // lies.
-                None => {
-                    return Err(CheckpointError::Corrupt {
-                        path: "segcounts-section".into(),
-                        reason: "recorded metric for an unroutable segment count".into(),
-                    }
-                    .into())
-                }
-            }
-        }
-        None => None,
-    };
-    Ok(RemapAnytime {
-        outcome,
-        status: match partial {
-            Some(p) => RunStatus::Partial(p),
-            None => RunStatus::Complete,
-        },
-    })
+    best.ok_or_else(infeasible)
 }
 
 /// All permutations of `0..n` for small pipelines (n <= 4), or identity /
@@ -350,40 +187,6 @@ mod tests {
             report.seconds,
             baseline.seconds
         );
-    }
-
-    #[test]
-    fn remap_kill_and_resume_is_bit_identical() {
-        let budget = HwBudget::nvdla_small();
-        let ded = AutoSeg::new(budget)
-            .max_pus(3)
-            .max_segments(6)
-            .run(&zoo::squeezenet1_0())
-            .unwrap();
-        let full = remap(&ded.design, &ded.workload, &zoo::mobilenet_v1()).unwrap();
-        let dir = std::env::temp_dir().join("spa_remap_resume_unit");
-        let _ = std::fs::create_dir_all(&dir);
-        let ckpt = dir.join("remap.ckpt");
-        let cut = remap_ctl(
-            &ded.design,
-            &ded.workload,
-            &zoo::mobilenet_v1(),
-            &RunCtl::none().stop_after_gens(2).checkpoint(&ckpt, 1),
-        )
-        .unwrap();
-        assert!(!cut.status.is_complete(), "two segment counts cannot finish");
-        let resumed = remap_ctl(
-            &ded.design,
-            &ded.workload,
-            &zoo::mobilenet_v1(),
-            &RunCtl::none().resume(&ckpt),
-        )
-        .unwrap();
-        assert!(resumed.status.is_complete());
-        let (design, report) = resumed.outcome.expect("routable");
-        assert_eq!(design, full.0, "kill+resume == uninterrupted");
-        assert_eq!(report.seconds.to_bits(), full.1.seconds.to_bits());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -22,11 +22,12 @@
 //!
 //! # Anytime execution
 //!
-//! Every long-running search (the engine sweep, the [`codesign`]
-//! baselines, [`multi::design_multi_ctl`] and [`generality::remap_ctl`])
-//! also comes in a ctl-aware variant driven by a [`RunCtl`]: cooperative
-//! deadlines and generation budgets (a typed [`RunStatus::Partial`] with
-//! the best-so-far result instead of lost work), periodic versioned
+//! The two resumable searches — the engine sweep ([`AutoSeg::run_ctl`],
+//! checkpoint kind `engine`) and the [`codesign`] methods
+//! ([`codesign::run_codesign`], kind `codesign`) — run on one
+//! generation loop driven by a [`RunCtl`]: cooperative deadlines,
+//! cancellation and generation budgets (a typed [`RunStatus::Partial`]
+//! with the best-so-far result instead of lost work), periodic versioned
 //! [`Checkpoint`]s, and `--resume` that reconstructs optimizer state by
 //! transcript replay so an interrupted-then-resumed search is
 //! bit-identical to an uninterrupted one. See [`dse::control`] and

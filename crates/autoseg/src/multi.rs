@@ -10,8 +10,6 @@
 //! model runs on first-class hardware.
 
 use crate::allocate::{allocate_with, eval_pu_segment};
-use crate::dse::checkpoint::{f64_from_hex, f64_to_hex, Checkpoint, CheckpointError};
-use crate::dse::control::{Partial, RunCtl, RunStatus};
 use crate::engine::DesignGoal;
 use crate::error::AutoSegError;
 use crate::segment::{ChainDpSegmenter, Segmenter};
@@ -174,39 +172,6 @@ fn eval_width(
     })
 }
 
-/// Anytime result of [`design_multi_ctl`].
-#[derive(Debug, Clone)]
-pub struct MultiAnytime {
-    /// Best joint design over the widths evaluated so far, if any.
-    pub outcome: Option<MultiOutcome>,
-    /// `Complete`, or a typed partial with generation provenance.
-    pub status: RunStatus,
-}
-
-fn width_line(n: usize, metric: Option<f64>) -> String {
-    match metric {
-        Some(m) => format!("w {n} {}", f64_to_hex(m)),
-        None => format!("w {n} -"),
-    }
-}
-
-fn parse_width_line(line: &str) -> Result<(usize, Option<f64>), CheckpointError> {
-    let corrupt = || CheckpointError::Corrupt {
-        path: "widths-section".into(),
-        reason: format!("malformed width line: {line}"),
-    };
-    let toks: Vec<&str> = line.split(' ').collect();
-    if toks.len() != 3 || toks[0] != "w" {
-        return Err(corrupt());
-    }
-    let n: usize = toks[1].parse().map_err(|_| corrupt())?;
-    let metric = match toks[2] {
-        "-" => None,
-        hex => Some(f64_from_hex(hex).ok_or_else(corrupt)?),
-    };
-    Ok((n, metric))
-}
-
 /// Jointly customizes one SPA accelerator for `models` under `budget`.
 ///
 /// For every candidate pipeline width, each model is segmented
@@ -227,10 +192,34 @@ pub fn design_multi(
     max_pus: usize,
     max_segments: usize,
 ) -> Result<MultiOutcome, AutoSegError> {
-    let run = design_multi_ctl(models, budget, max_pus, max_segments, &RunCtl::none())?;
-    run.outcome.ok_or_else(|| AutoSegError::NoFeasibleDesign {
+    if models.is_empty() {
+        return Err(AutoSegError::EmptyWorkload);
+    }
+    let key = model_key(models);
+    let _span = obs::span!("autoseg.multi", models = key.as_str());
+    let workloads: Vec<Workload> = models.iter().map(Workload::from_graph).collect();
+    let segmenter = ChainDpSegmenter::new();
+    // One memo cache for the whole joint search: the per-model trial
+    // allocations and the merged-hardware dataflow probes revisit the same
+    // (layer, PU, dataflow) points constantly.
+    let cache = EvalCache::default();
+    let min_len = workloads.iter().map(Workload::len).min().expect("nonempty");
+    // Strict `<` in width order: the narrowest of equally fast widths wins.
+    let mut best: Option<MultiOutcome> = None;
+    for n in 2..=max_pus.min(min_len).min(budget.pes) {
+        let Some(o) = eval_width(&workloads, budget, max_segments, n, &segmenter, &cache) else {
+            continue;
+        };
+        if best
+            .as_ref()
+            .is_none_or(|b| o.geomean_seconds() < b.geomean_seconds())
+        {
+            best = Some(o);
+        }
+    }
+    best.ok_or_else(|| AutoSegError::NoFeasibleDesign {
         budget: budget.name.clone(),
-        model: model_key(models),
+        model: key,
     })
 }
 
@@ -240,162 +229,6 @@ fn model_key(models: &[Graph]) -> String {
         .map(|m| m.name().to_string())
         .collect::<Vec<_>>()
         .join("+")
-}
-
-/// [`design_multi`] under an anytime policy: each candidate pipeline
-/// width is one resumable generation. Per-width geomean metrics (plus
-/// the shared cost cache) are checkpointed; the winning width's full
-/// outcome is *rematerialized* at the end by re-evaluating it, which is
-/// bit-identical because the evaluation is deterministic and cache-hot.
-///
-/// # Errors
-///
-/// [`AutoSegError::EmptyWorkload`] if `models` is empty, plus
-/// [`AutoSegError::Checkpoint`] for checkpoint I/O / corruption /
-/// configuration mismatches. An infeasible joint design is `outcome:
-/// None`, not an error (a partial run may simply not have reached a
-/// feasible width yet).
-pub fn design_multi_ctl(
-    models: &[Graph],
-    budget: &HwBudget,
-    max_pus: usize,
-    max_segments: usize,
-    ctl: &RunCtl,
-) -> Result<MultiAnytime, AutoSegError> {
-    if models.is_empty() {
-        return Err(AutoSegError::EmptyWorkload);
-    }
-    let _span = obs::span!("autoseg.multi", models = model_key(models));
-    let workloads: Vec<Workload> = models.iter().map(Workload::from_graph).collect();
-    let segmenter = ChainDpSegmenter::new();
-    // One memo cache for the whole joint search: the per-model trial
-    // allocations and the merged-hardware dataflow probes revisit the same
-    // (layer, PU, dataflow) points constantly.
-    let cache = EvalCache::default();
-    let min_len = workloads.iter().map(Workload::len).min().expect("nonempty");
-    let widths: Vec<usize> = (2..=max_pus.min(min_len).min(budget.pes)).collect();
-    let key = model_key(models);
-
-    let mut results: Vec<(usize, Option<f64>)> = Vec::new();
-    if let Some(path) = ctl.resume_from() {
-        let ck = Checkpoint::load(path)?;
-        ck.require(
-            "multi",
-            &[
-                ("models", &key),
-                ("budget", &budget.name),
-                ("max_pus", &max_pus.to_string()),
-                ("max_segments", &max_segments.to_string()),
-                ("energy_model", &format!("{:016x}", cache.model_fingerprint())),
-            ],
-        )?;
-        for line in ck.section("widths") {
-            results.push(parse_width_line(line)?);
-        }
-        if results.len() > widths.len()
-            || results.iter().zip(&widths).any(|(&(n, _), &w)| n != w)
-        {
-            return Err(CheckpointError::Corrupt {
-                path: "widths-section".into(),
-                reason: "recorded widths do not prefix this run's enumeration".into(),
-            }
-            .into());
-        }
-        for line in ck.section("cache") {
-            cache
-                .import_line(line)
-                .map_err(|e| CheckpointError::Corrupt {
-                    path: "cache-section".into(),
-                    reason: e.to_string(),
-                })?;
-        }
-    }
-
-    let save = |results: &[(usize, Option<f64>)], gens: u64, planned: u64| {
-        let Some(path) = ctl.checkpoint_path() else {
-            return Ok(());
-        };
-        let mut ck = Checkpoint::new("multi");
-        ck.set_meta("models", &key);
-        ck.set_meta("budget", &budget.name);
-        ck.set_meta("max_pus", &max_pus.to_string());
-        ck.set_meta("max_segments", &max_segments.to_string());
-        ck.set_meta("energy_model", &format!("{:016x}", cache.model_fingerprint()));
-        ck.set_meta("gens_done", &gens.to_string());
-        ck.set_meta("planned_gens", &planned.to_string());
-        ck.push_section(
-            "widths",
-            results.iter().map(|&(n, m)| width_line(n, m)).collect(),
-        );
-        ck.push_section("cache", cache.export_lines());
-        ck.save(path)
-    };
-
-    let planned = widths.len() as u64;
-    let mut gens = 0u64;
-    let mut partial: Option<Partial> = None;
-    for (g, &n) in widths.iter().enumerate() {
-        if g < results.len() {
-            gens += 1;
-            continue;
-        }
-        if let Some(reason) = ctl.should_stop(gens) {
-            save(&results, gens, planned)?;
-            partial = Some(Partial {
-                completed_gens: gens,
-                planned_gens: planned,
-                reason,
-            });
-            break;
-        }
-        let metric = eval_width(&workloads, budget, max_segments, n, &segmenter, &cache)
-            .map(|o| o.geomean_seconds());
-        results.push((n, metric));
-        gens += 1;
-        if ctl.should_checkpoint(gens) {
-            save(&results, gens, planned)?;
-        }
-    }
-    if partial.is_none() {
-        save(&results, gens, planned)?;
-    }
-
-    // Strict `<` in width order: same winner as the all-at-once loop.
-    let mut best: Option<(f64, usize)> = None;
-    for &(n, metric) in &results {
-        if let Some(m) = metric {
-            if best.as_ref().is_none_or(|(bm, _)| m < *bm) {
-                best = Some((m, n));
-            }
-        }
-    }
-    let outcome = match best {
-        Some((metric, n)) => {
-            match eval_width(&workloads, budget, max_segments, n, &segmenter, &cache) {
-                Some(o) => {
-                    debug_assert_eq!(o.geomean_seconds().to_bits(), metric.to_bits());
-                    Some(o)
-                }
-                // A recorded metric for a width that does not evaluate
-                // feasible can only come from a checkpoint that lies.
-                None => {
-                    return Err(CheckpointError::Corrupt {
-                        path: "widths-section".into(),
-                        reason: "recorded metric for an infeasible width".into(),
-                    }
-                    .into())
-                }
-            }
-        }
-        None => None,
-    };
-    Ok(MultiAnytime {
-        outcome,
-        status: match partial {
-            Some(p) => RunStatus::Partial(p),
-            None => RunStatus::Complete,
-        },
-    })
 }
 
 #[cfg(test)]
@@ -448,35 +281,6 @@ mod tests {
                 assert!(pruned.supports(&r));
             }
         }
-    }
-
-    #[test]
-    fn multi_kill_and_resume_is_bit_identical() {
-        let models = vec![zoo::squeezenet1_0(), zoo::mobilenet_v1()];
-        let budget = HwBudget::nvdla_small();
-        let full = design_multi(&models, &budget, 4, 6).expect("feasible");
-        let dir = std::env::temp_dir().join("spa_multi_resume_unit");
-        let _ = std::fs::create_dir_all(&dir);
-        let ckpt = dir.join("multi.ckpt");
-        let cut = design_multi_ctl(
-            &models,
-            &budget,
-            4,
-            6,
-            &RunCtl::none().stop_after_gens(1).checkpoint(&ckpt, 1),
-        )
-        .unwrap();
-        assert!(!cut.status.is_complete(), "one width cannot finish");
-        let resumed =
-            design_multi_ctl(&models, &budget, 4, 6, &RunCtl::none().resume(&ckpt)).unwrap();
-        assert!(resumed.status.is_complete());
-        let out = resumed.outcome.expect("feasible");
-        assert_eq!(out.n_pus, full.n_pus);
-        assert_eq!(out.designs, full.designs, "kill+resume == uninterrupted");
-        for (a, b) in out.reports.iter().zip(&full.reports) {
-            assert_eq!(a.seconds.to_bits(), b.seconds.to_bits());
-        }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -3,12 +3,9 @@
 //! results for any worker count. `threads = 1` is the serial reference
 //! path (no threads are spawned), so these tests pin parallel == serial.
 
-use autoseg::codesign::{
-    baye_baye_with, baye_heuristic_with, mip_anneal_with, mip_baye_with, mip_heuristic_with,
-    mip_random_with, CodesignBudgets, DesignPoint,
-};
+use autoseg::codesign::{run_codesign, run_codesign_with, CodesignBudgets, DesignPoint, Method};
 use autoseg::dse::DsePool;
-use autoseg::AutoSeg;
+use autoseg::{AutoSeg, RunCtl};
 use nnmodel::zoo;
 use pucost::EvalCache;
 use spa_arch::HwBudget;
@@ -27,31 +24,26 @@ fn run_all(pool: &DsePool) -> Vec<(&'static str, Vec<DesignPoint>)> {
     let model = zoo::alexnet_conv();
     let budget = HwBudget::nvdla_small();
     let b = budgets();
+    let run = |method| {
+        run_codesign_with(
+            &model,
+            &budget,
+            &b,
+            method,
+            pool,
+            &EvalCache::default(),
+            &RunCtl::none(),
+        )
+        .unwrap()
+        .points
+    };
     vec![
-        (
-            "mip-heuristic",
-            mip_heuristic_with(&model, &budget, pool, &EvalCache::default()).unwrap(),
-        ),
-        (
-            "mip-random",
-            mip_random_with(&model, &budget, &b, pool, &EvalCache::default()).unwrap(),
-        ),
-        (
-            "mip-baye",
-            mip_baye_with(&model, &budget, &b, pool, &EvalCache::default()).unwrap(),
-        ),
-        (
-            "baye-heuristic",
-            baye_heuristic_with(&model, &budget, &b, pool, &EvalCache::default()).unwrap(),
-        ),
-        (
-            "baye-baye",
-            baye_baye_with(&model, &budget, &b, pool, &EvalCache::default()).unwrap(),
-        ),
-        (
-            "mip-anneal",
-            mip_anneal_with(&model, &budget, &b, pool, &EvalCache::default()).unwrap(),
-        ),
+        ("mip-heuristic", run(Method::MipHeuristic)),
+        ("mip-random", run(Method::MipRandom)),
+        ("mip-baye", run(Method::MipBaye)),
+        ("baye-heuristic", run(Method::BayeHeuristic)),
+        ("baye-baye", run(Method::BayeBaye)),
+        ("mip-anneal", run(Method::MipAnneal)),
     ]
 }
 
@@ -75,16 +67,27 @@ fn public_entry_points_honor_the_threads_field() {
     // `budgets.threads`; the point clouds must not depend on its value.
     let model = zoo::alexnet_conv();
     let budget = HwBudget::nvdla_small();
-    let serial = autoseg::codesign::mip_random(&model, &budget, &budgets()).unwrap();
-    let parallel = autoseg::codesign::mip_random(
+    let serial = run_codesign(
+        &model,
+        &budget,
+        &budgets(),
+        Method::MipRandom,
+        &RunCtl::none(),
+    )
+    .unwrap()
+    .points;
+    let parallel = run_codesign(
         &model,
         &budget,
         &CodesignBudgets {
             threads: 4,
             ..budgets()
         },
+        Method::MipRandom,
+        &RunCtl::none(),
     )
-    .unwrap();
+    .unwrap()
+    .points;
     assert_eq!(serial, parallel);
 }
 
@@ -96,9 +99,22 @@ fn shared_cache_reuse_does_not_change_points() {
     let budget = HwBudget::nvdla_small();
     let pool = DsePool::new(2);
     let cache = EvalCache::default();
-    let cold = mip_heuristic_with(&model, &budget, &pool, &cache).unwrap();
+    let heuristic = || {
+        run_codesign_with(
+            &model,
+            &budget,
+            &budgets(),
+            Method::MipHeuristic,
+            &pool,
+            &cache,
+            &RunCtl::none(),
+        )
+        .unwrap()
+        .points
+    };
+    let cold = heuristic();
     let (cold_hits, cold_misses) = (cache.hits(), cache.misses());
-    let warm = mip_heuristic_with(&model, &budget, &pool, &cache).unwrap();
+    let warm = heuristic();
     assert_eq!(cold, warm);
     assert_eq!(
         cache.misses(),

@@ -8,11 +8,9 @@
 //! `obs::set_level` is process-global, so these tests must not share a
 //! process with tests assuming the default `off` level.
 
-use autoseg::codesign::{
-    baye_baye_with, mip_baye_with, mip_heuristic_with, CodesignBudgets, DesignPoint,
-};
+use autoseg::codesign::{run_codesign_with, CodesignBudgets, DesignPoint, Method};
 use autoseg::dse::DsePool;
-use autoseg::AutoSeg;
+use autoseg::{AutoSeg, RunCtl};
 use nnmodel::zoo;
 use pucost::EvalCache;
 use spa_arch::HwBudget;
@@ -35,9 +33,14 @@ fn run_codesign(pool: &DsePool) -> Vec<DesignPoint> {
     let budget = HwBudget::nvdla_small();
     let b = budgets();
     let cache = EvalCache::default();
-    let mut pts = mip_heuristic_with(&model, &budget, pool, &cache).unwrap();
-    pts.extend(mip_baye_with(&model, &budget, &b, pool, &cache).unwrap());
-    pts.extend(baye_baye_with(&model, &budget, &b, pool, &cache).unwrap());
+    let run = |method| {
+        run_codesign_with(&model, &budget, &b, method, pool, &cache, &RunCtl::none())
+            .unwrap()
+            .points
+    };
+    let mut pts = run(Method::MipHeuristic);
+    pts.extend(run(Method::MipBaye));
+    pts.extend(run(Method::BayeBaye));
     pts
 }
 

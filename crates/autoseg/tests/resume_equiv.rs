@@ -8,10 +8,10 @@
 //! resumed trajectory would diverge and these comparisons would fail.
 
 use autoseg::codesign::{run_codesign, CodesignBudgets, Method};
-use autoseg::{AutoSeg, AutoSegError, CheckpointError, RunCtl, RunStatus, StopReason};
+use autoseg::{AutoSeg, AutoSegError, Checkpoint, CheckpointError, RunCtl, RunStatus, StopReason};
 use nnmodel::zoo;
 use spa_arch::HwBudget;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn budgets(threads: usize) -> CodesignBudgets {
     CodesignBudgets {
@@ -214,4 +214,232 @@ fn resume_under_a_different_config_is_a_typed_mismatch() {
         "got {err}"
     );
     let _ = std::fs::remove_file(&ckpt);
+}
+
+/// `ckpt` with `edit` applied to its body (everything before the `end`
+/// footer) and the checksum recomputed, so only the resume checks — not
+/// the torn-write detection — can reject it.
+fn rewrite_body(ckpt: &Path, edit: impl Fn(&str) -> String) {
+    let text = std::fs::read_to_string(ckpt).unwrap();
+    let (body, _) = text.rsplit_once("end ").expect("footer");
+    let body = edit(body);
+    let sum = faultsim::rng::fnv1a(body.as_bytes());
+    std::fs::write(ckpt, format!("{body}end {sum:016x}\n")).unwrap();
+}
+
+#[test]
+fn engine_resume_rejects_shapes_that_are_not_whole_generations() {
+    // Killed after 3 generations, the checkpoint records 24 shapes. A
+    // shorter section would make the resumed sweep append later results
+    // after it, on the wrong shapes.
+    let eng = AutoSeg::new(HwBudget::nvdla_small()).threads(2);
+    let model = zoo::mobilenet_v1();
+    let written = ckpt_path("engine_cut_shapes");
+    let cut = eng
+        .run_ctl(
+            &model,
+            &RunCtl::none().stop_after_gens(3).checkpoint(&written, 1),
+        )
+        .unwrap();
+    assert!(!cut.status.is_complete());
+    let text = std::fs::read_to_string(&written).unwrap();
+    assert!(
+        text.contains("\nsec shapes 24\n"),
+        "3 generations of 8 shapes"
+    );
+    for keep in [1, 3, 7, 9, 12, 16, 20, 23] {
+        let ckpt = ckpt_path(&format!("engine_cut_shapes_{keep}"));
+        std::fs::write(&ckpt, &text).unwrap();
+        rewrite_body(&ckpt, |body| {
+            let (head, rest) = body.split_once("sec shapes 24\n").expect("shapes section");
+            let lines: Vec<&str> = rest.split_inclusive('\n').collect();
+            format!(
+                "{head}sec shapes {keep}\n{}{}",
+                lines[..keep].concat(),
+                lines[24..].concat()
+            )
+        });
+        let err = eng
+            .run_ctl(&model, &RunCtl::none().resume(&ckpt))
+            .unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                AutoSegError::Checkpoint(CheckpointError::Corrupt { .. })
+            ),
+            "{keep} shapes: got {err}"
+        );
+        let _ = std::fs::remove_file(&ckpt);
+    }
+    let _ = std::fs::remove_file(&written);
+}
+
+/// Budgets under which each optimizer unit runs two generations (8
+/// candidates, then 1), so kills can land inside a unit.
+fn two_gen_units() -> CodesignBudgets {
+    CodesignBudgets {
+        hw_iters: 96,
+        ..budgets(2)
+    }
+}
+
+#[test]
+fn optimizer_units_of_several_generations_resume_mid_unit() {
+    let model = zoo::alexnet_conv();
+    let budget = HwBudget::nvdla_small();
+    let b = two_gen_units();
+    for method in [
+        Method::MipRandom,
+        Method::MipBaye,
+        Method::MipAnneal,
+        Method::BayeBaye,
+    ] {
+        let reference = run_codesign(&model, &budget, &b, method, &RunCtl::none()).unwrap();
+        for kill in [1, 3] {
+            let ckpt = ckpt_path(&format!("mid_unit_{}_k{kill}", method.label()));
+            let cut = run_codesign(
+                &model,
+                &budget,
+                &b,
+                method,
+                &RunCtl::none().stop_after_gens(kill).checkpoint(&ckpt, 1),
+            )
+            .unwrap();
+            assert!(!cut.status.is_complete(), "{method} k={kill}");
+            let resumed =
+                run_codesign(&model, &budget, &b, method, &RunCtl::none().resume(&ckpt)).unwrap();
+            assert!(resumed.status.is_complete());
+            assert_eq!(resumed.points, reference.points, "{method} k={kill}");
+            let _ = std::fs::remove_file(&ckpt);
+        }
+    }
+}
+
+#[test]
+fn codesign_resume_rejects_gens_done_that_disagrees_with_the_state() {
+    let model = zoo::alexnet_conv();
+    let budget = HwBudget::nvdla_small();
+    // (method, budgets, generations before the kill, forged gens_done
+    // values). The chunked methods plan 2 generations here. The
+    // optimizer-backed ones are killed inside their second unit, and
+    // their transcripts must agree with gens_done.
+    let cases: [(Method, CodesignBudgets, u64, &[u64]); 6] = [
+        (Method::MipHeuristic, budgets(2), 1, &[999]),
+        (Method::BayeHeuristic, budgets(2), 1, &[999]),
+        (Method::MipRandom, two_gen_units(), 3, &[2, 4, 999]),
+        (Method::MipBaye, two_gen_units(), 3, &[0, 2, 4, 999]),
+        (Method::MipAnneal, two_gen_units(), 3, &[2, 4, 999]),
+        (Method::BayeBaye, two_gen_units(), 3, &[2, 4, 999]),
+    ];
+    for (method, b, kill, forged) in cases {
+        let written = ckpt_path(&format!("forged_{}", method.label()));
+        let cut = run_codesign(
+            &model,
+            &budget,
+            &b,
+            method,
+            &RunCtl::none().stop_after_gens(kill).checkpoint(&written, 1),
+        )
+        .unwrap();
+        assert!(!cut.status.is_complete(), "{method}");
+        for &gens in forged {
+            let ckpt = ckpt_path(&format!("forged_{}_{gens}", method.label()));
+            let mut ck = Checkpoint::load(&written).unwrap();
+            ck.set_meta("gens_done", &gens.to_string());
+            ck.save(&ckpt).unwrap();
+            let err = run_codesign(&model, &budget, &b, method, &RunCtl::none().resume(&ckpt))
+                .unwrap_err();
+            assert!(
+                matches!(
+                    &err,
+                    AutoSegError::Checkpoint(CheckpointError::Corrupt { .. })
+                ),
+                "{method} gens_done {gens}: got {err}"
+            );
+            let _ = std::fs::remove_file(&ckpt);
+        }
+        let _ = std::fs::remove_file(&written);
+    }
+}
+
+/// The header, the `meta` keys in order and the section names of a
+/// checkpoint file.
+fn layout(ckpt: &Path) -> (String, Vec<String>, Vec<String>) {
+    let text = std::fs::read_to_string(ckpt).unwrap();
+    let mut lines = text.lines();
+    let header = lines.next().unwrap_or_default().to_string();
+    let (mut meta, mut sections) = (Vec::new(), Vec::new());
+    let mut skip = 0usize;
+    for line in lines {
+        if skip > 0 {
+            skip -= 1;
+        } else if let Some(rest) = line.strip_prefix("meta ") {
+            meta.push(rest.split(' ').next().unwrap_or_default().to_string());
+        } else if let Some(rest) = line.strip_prefix("sec ") {
+            let (name, count) = rest.split_once(' ').expect("sec line");
+            sections.push(name.to_string());
+            skip = count.parse().expect("section count");
+        }
+    }
+    (header, meta, sections)
+}
+
+#[test]
+fn checkpoint_layout_is_pinned() {
+    // Checkpoints already on disk (`spa-gen --resume`, spa-serve's cache
+    // directory) stay resumable only while this layout holds.
+    let engine = ckpt_path("layout_engine");
+    AutoSeg::new(HwBudget::nvdla_small())
+        .threads(2)
+        .run_ctl(
+            &zoo::mobilenet_v1(),
+            &RunCtl::none().stop_after_gens(1).checkpoint(&engine, 1),
+        )
+        .unwrap();
+    let (header, meta, sections) = layout(&engine);
+    assert_eq!(header, "spa-ckpt 1 engine");
+    assert_eq!(
+        meta,
+        [
+            "model",
+            "budget",
+            "goal",
+            "max_pus",
+            "max_segments",
+            "segmenter",
+            "energy_model",
+            "gens_done",
+            "planned_gens"
+        ]
+    );
+    assert_eq!(sections, ["shapes", "cache"]);
+
+    let codesign = ckpt_path("layout_codesign");
+    run_codesign(
+        &zoo::alexnet_conv(),
+        &HwBudget::nvdla_small(),
+        &budgets(2),
+        Method::MipBaye,
+        &RunCtl::none().stop_after_gens(1).checkpoint(&codesign, 1),
+    )
+    .unwrap();
+    let (header, meta, sections) = layout(&codesign);
+    assert_eq!(header, "spa-ckpt 1 codesign");
+    assert_eq!(
+        meta,
+        [
+            "method",
+            "model",
+            "budget",
+            "seed",
+            "hw_iters",
+            "seg_iters",
+            "energy_model",
+            "gens_done",
+            "planned_gens"
+        ]
+    );
+    assert_eq!(sections, ["points", "unit.0", "cache"]);
+    let _ = std::fs::remove_file(&engine);
+    let _ = std::fs::remove_file(&codesign);
 }

@@ -12,10 +12,10 @@
 //!
 //! `DSE_SMOKE=1` shrinks the iteration budgets for CI smoke runs;
 //! `OBS_LEVEL=summary OBS_OUT=results/obs/bench_dse.jsonl` additionally
-//! traces the run. `DSE_DEADLINE_MS` / `--deadline` turn the benchmark
-//! into an anytime run (each leg gets its own budget from its start);
-//! `--checkpoint`/`--resume` persist and restore per-method search state
-//! (the method label is appended to the path). `FAULT_PLAN` arms the
+//! traces the run. `--deadline` turns the benchmark into an anytime run
+//! (each leg gets its own budget from its start); `--checkpoint` /
+//! `--resume` persist and restore per-method search state (the method
+//! label is appended to the path). `FAULT_PLAN` arms the
 //! deterministic fault-injection points (see `crates/faultsim`); every
 //! injected fault is listed in the JSON report.
 
@@ -61,7 +61,7 @@ impl Anytime {
     /// The per-leg policy. The deadline is taken from the leg's start so
     /// serial and parallel runs get equal budgets.
     fn ctl(&self, method: Method) -> RunCtl {
-        let mut ctl = RunCtl::none().deadline_from_env();
+        let mut ctl = RunCtl::none();
         if let Some(ms) = self.deadline_ms {
             ctl = ctl.deadline(Duration::from_millis(ms));
         }

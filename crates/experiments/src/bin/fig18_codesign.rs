@@ -3,10 +3,8 @@
 //! MIP-Baye, Baye-Heuristic and Baye-Baye — for AlexNet and MobileNetV1
 //! under two hardware budgets.
 
-use autoseg::codesign::{
-    baye_baye_with, baye_heuristic_with, mip_baye_with, mip_heuristic_with, mip_random_with,
-    CodesignBudgets, DesignPoint,
-};
+use autoseg::codesign::{run_codesign_with, CodesignBudgets, DesignPoint, Method};
+use autoseg::RunCtl;
 use experiments::{codesign_budgets, f3, print_table, short_name, write_csv};
 use nnmodel::zoo;
 use pucost::EvalCache;
@@ -41,13 +39,28 @@ fn main() {
             // One cache per (model, budget) pair: identical layer/PU
             // probes recur heavily across the five methods.
             let cache = EvalCache::default();
-            let runs: Vec<Vec<DesignPoint>> = vec![
-                mip_heuristic_with(&model, budget, &pool, &cache).expect("run"),
-                mip_random_with(&model, budget, &iters, &pool, &cache).expect("run"),
-                mip_baye_with(&model, budget, &iters, &pool, &cache).expect("run"),
-                baye_heuristic_with(&model, budget, &iters, &pool, &cache).expect("run"),
-                baye_baye_with(&model, budget, &iters, &pool, &cache).expect("run"),
-            ];
+            let runs: Vec<Vec<DesignPoint>> = [
+                Method::MipHeuristic,
+                Method::MipRandom,
+                Method::MipBaye,
+                Method::BayeHeuristic,
+                Method::BayeBaye,
+            ]
+            .into_iter()
+            .map(|method| {
+                run_codesign_with(
+                    &model,
+                    budget,
+                    &iters,
+                    method,
+                    &pool,
+                    &cache,
+                    &RunCtl::none(),
+                )
+                .expect("run")
+                .points
+            })
+            .collect();
             for pts in &runs {
                 let method = pts.first().map(|p| p.method).unwrap_or("none");
                 for p in pts {

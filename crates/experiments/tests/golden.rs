@@ -365,13 +365,12 @@ fn golden_dir() -> PathBuf {
 }
 
 /// Runs one experiment binary into `out_dir` with the env knobs that
-/// could perturb results (smoke budgets, fault plans, deadlines)
+/// could perturb results (smoke budgets, fault plans, obs level)
 /// stripped, so the regeneration matches how the goldens were made.
 fn regenerate(exe: &Path, out_dir: &Path) -> Result<(), String> {
     let status = Command::new(exe)
         .env("SPA_RESULTS_DIR", out_dir)
         .env_remove("DSE_SMOKE")
-        .env_remove("DSE_DEADLINE_MS")
         .env_remove("FAULT_PLAN")
         .env_remove("OBS_LEVEL")
         .stdout(std::process::Stdio::null())
@@ -456,8 +455,7 @@ fn regenerated_bench_json_matches_golden_within_tolerance() {
         cmd.args(case.args)
             .env("SPA_RESULTS_DIR", &scratch)
             .env_remove("DSE_THREADS")
-            .env_remove("DSE_DEADLINE_MS")
-            .env_remove("FAULT_PLAN")
+                .env_remove("FAULT_PLAN")
             .env_remove("OBS_LEVEL");
         for (k, v) in case.env {
             cmd.env(k, v);

@@ -6,9 +6,8 @@
 //! cargo run --release --example codesign_methods
 //! ```
 
-use autoseg::codesign::{
-    baye_baye, baye_heuristic, mip_baye, mip_heuristic, mip_random, CodesignBudgets,
-};
+use autoseg::codesign::{run_codesign, CodesignBudgets, Method};
+use autoseg::RunCtl;
 use deepburning_seg::prelude::*;
 
 fn main() -> Result<(), autoseg::AutoSegError> {
@@ -32,14 +31,14 @@ fn main() -> Result<(), autoseg::AutoSegError> {
         "{:>16}  {:>7}  {:>10}  {:>12}",
         "method", "points", "best ms", "max E (uJ)"
     );
-    let runs = [
-        mip_heuristic(&model, &budget)?,
-        mip_random(&model, &budget, &iters)?,
-        mip_baye(&model, &budget, &iters)?,
-        baye_heuristic(&model, &budget, &iters)?,
-        baye_baye(&model, &budget, &iters)?,
-    ];
-    for pts in &runs {
+    for method in [
+        Method::MipHeuristic,
+        Method::MipRandom,
+        Method::MipBaye,
+        Method::BayeHeuristic,
+        Method::BayeBaye,
+    ] {
+        let pts = run_codesign(&model, &budget, &iters, method, &RunCtl::none())?.points;
         let method = pts.first().map(|p| p.method).unwrap_or("(none)");
         let best = pts
             .iter()

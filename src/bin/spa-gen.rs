@@ -15,10 +15,10 @@
 //! budgets: eyeriss nvdla-small nvdla-large edge-tpu zu3eg 7z045 ku115
 //! ```
 //!
-//! Anytime execution: `--deadline` (or `DSE_DEADLINE_MS`) stops the
-//! design sweep cooperatively and generates hardware from the best
-//! design found so far; `--checkpoint` persists sweep state every N
-//! generations and `--resume` continues bit-identically from it.
+//! Anytime execution: `--deadline` stops the design sweep cooperatively
+//! and generates hardware from the best design found so far;
+//! `--checkpoint` persists sweep state every N generations and `--resume`
+//! continues bit-identically from it.
 //! `FAULT_PLAN` arms the deterministic fault-injection points (see
 //! `crates/faultsim`).
 
@@ -105,7 +105,7 @@ fn main() -> ExitCode {
     };
     let mut goal = autoseg::DesignGoal::Latency;
     let mut out_dir = PathBuf::from(".");
-    let mut ctl = autoseg::RunCtl::none().deadline_from_env();
+    let mut ctl = autoseg::RunCtl::none();
     let mut checkpoint: Option<PathBuf> = None;
     let mut checkpoint_every = 1u64;
     let mut i = 2;

@@ -165,8 +165,13 @@ fn claim_heuristic_codesign_dominates() {
         seed: 5,
         threads: 0,
     };
-    let h = mip_heuristic(&model, &budget).unwrap();
-    let r = mip_random(&model, &budget, &iters).unwrap();
+    let run = |method| {
+        run_codesign(&model, &budget, &iters, method, &autoseg::RunCtl::none())
+            .unwrap()
+            .points
+    };
+    let h = run(Method::MipHeuristic);
+    let r = run(Method::MipRandom);
     let best = |pts: &[DesignPoint]| {
         pts.iter()
             .map(|p| p.latency_s)
