@@ -351,7 +351,8 @@ impl Solver {
                     stats.lp_solves += 1;
                     ls
                 }
-                Warm::Reject(_) => {
+                Warm::Reject(r) => {
+                    obs::add(r.counter(), 1);
                     stats.warm_rejects += 1;
                     stats.lp_solves += 2;
                     solve_lp(q, &root_bounds)?
@@ -516,10 +517,13 @@ impl Solver {
                             result: Ok(ls),
                             warm: WarmTag::Hit,
                         },
-                        Ok(Warm::Reject(_)) => TaskOut {
-                            result: solve_lp(q, &t.bounds),
-                            warm: WarmTag::Reject,
-                        },
+                        Ok(Warm::Reject(r)) => {
+                            obs::add(r.counter(), 1);
+                            TaskOut {
+                                result: solve_lp(q, &t.bounds),
+                                warm: WarmTag::Reject,
+                            }
+                        }
                         Err(e) => TaskOut {
                             result: Err(e),
                             warm: WarmTag::Reject,

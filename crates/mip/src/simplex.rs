@@ -318,10 +318,11 @@ pub(crate) fn solve_lp(p: &Problem, bounds: &[(f64, f64)]) -> Result<LpSolve, Mi
             });
         }
         // Drive zero-level artificials out of the basis where possible.
+        let mut is_basic = basic_mask(&tab.basis, total);
         for i in 0..m {
             if tab.basis[i] >= art_start {
                 if let Some(j) = (0..art_start).find(|&j| tab.t[i][j].abs() > 1e-7) {
-                    pivot(&mut tab.t, &mut tab.basis, i, j);
+                    pivot(&mut tab.t, &mut tab.basis, &mut is_basic, i, j);
                     pivots += 1;
                 }
             }
@@ -373,6 +374,7 @@ pub(crate) fn optimize(
     // Dantzig pricing, switching permanently to Bland's rule after a stall
     // budget to guarantee termination on degenerate problems.
     let stall_budget = 50 * (m + total);
+    let mut is_basic = basic_mask(basis, total);
     let mut iters = 0usize;
     loop {
         iters += 1;
@@ -381,7 +383,7 @@ pub(crate) fn optimize(
         let cb: Vec<f64> = basis.iter().map(|&b| cost[b]).collect();
         let mut entering: Option<(usize, f64)> = None;
         for j in 0..enter_limit {
-            if basis.contains(&j) {
+            if is_basic[j] {
                 continue;
             }
             let mut r = cost[j];
@@ -428,30 +430,56 @@ pub(crate) fn optimize(
             obs::add("mip.simplex.pivots", done);
             return (Pivoted::Unbounded, done);
         };
-        pivot(t, basis, l, e);
+        pivot(t, basis, &mut is_basic, l, e);
     }
 }
 
-/// Pivots on `(row, col)`: normalizes the pivot row and eliminates the
-/// column from every other row.
-pub(crate) fn pivot(t: &mut [Vec<f64>], basis: &mut [usize], row: usize, col: usize) {
+/// Marks the columns of `basis` among `total` columns, so pricing skips
+/// basic columns in O(1) instead of searching the basis.
+pub(crate) fn basic_mask(basis: &[usize], total: usize) -> Vec<bool> {
+    let mut mask = vec![false; total];
+    for &b in basis {
+        mask[b] = true;
+    }
+    mask
+}
+
+/// Pivots on `(row, col)`: normalizes the pivot row, eliminates the
+/// column from every other row, and moves `col` into the basis (and its
+/// `is_basic` mask) in place of the row's old basic column.
+///
+/// Elimination runs over the pivot row's nonzeros only: subtracting
+/// `factor * 0.0` leaves every entry's value unchanged, so the tableau is
+/// the one a full sweep computes.
+pub(crate) fn pivot(
+    t: &mut [Vec<f64>],
+    basis: &mut [usize],
+    is_basic: &mut [bool],
+    row: usize,
+    col: usize,
+) {
     let piv = t[row][col];
     debug_assert!(piv.abs() > EPS, "pivot on a (near-)zero element");
-    let width = t[row].len();
-    for j in 0..width {
-        t[row][j] /= piv;
+    for x in &mut t[row] {
+        *x /= piv;
     }
-    for i in 0..t.len() {
-        if i != row {
-            let factor = t[i][col];
-            // exact-zero skip; lint: allow(float-eq)
-            if factor != 0.0 {
-                for j in 0..width {
-                    t[i][j] -= factor * t[row][j];
-                }
+    let nonzeros: Vec<(usize, f64)> = t[row]
+        .iter()
+        .enumerate()
+        .filter(|&(_, &v)| v != 0.0) // exact-zero skip; lint: allow(float-eq)
+        .map(|(j, &v)| (j, v))
+        .collect();
+    for (i, r) in t.iter_mut().enumerate() {
+        let factor = r[col];
+        // exact-zero skip; lint: allow(float-eq)
+        if i != row && factor != 0.0 {
+            for &(j, v) in &nonzeros {
+                r[j] -= factor * v;
             }
         }
     }
+    is_basic[basis[row]] = false;
+    is_basic[col] = true;
     basis[row] = col;
 }
 

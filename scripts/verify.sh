@@ -405,6 +405,18 @@ rm -rf "$FLEET_TMP"
 # analyzer models; the lock-order artifact must still be acyclic.
 grep -q "cycles: none" results/LOCKS.txt
 
+echo "== Tables IV-VI: regenerated MILP case-study CSVs vs results/ =="
+# The only committed outputs of MipSegmenter: the AlexNet case study's
+# Table VI design comes from the MILP segmentation.
+TAB_TMP="$(mktemp -d)"
+env -u DSE_SMOKE -u FAULT_PLAN -u OBS_LEVEL SPA_RESULTS_DIR="$TAB_TMP" \
+    cargo run --release --offline -q -p experiments --bin tab0456_alexnet_case > /dev/null
+for csv in tab04_no_pipeline.csv tab05_full_pipeline.csv tab06_spa.csv; do
+    diff -u "results/$csv" "$TAB_TMP/$csv"
+done
+rm -rf "$TAB_TMP"
+echo "   tables OK: tab04/tab05/tab06 match results/"
+
 echo "== golden results: regenerated CSVs vs results/*.csv =="
 # The harness strips DSE_SMOKE etc. from the binaries it spawns, so the
 # regeneration always uses the same full budgets the goldens were made with.
