@@ -21,7 +21,7 @@
 use crate::engine::DesignGoal;
 use crate::error::AutoSegError;
 use nnmodel::Workload;
-use pucost::{Dataflow, EvalCache, LayerDesc, PuBatch, PuConfig};
+use pucost::{Dataflow, EvalCache, LayerDesc, PuConfig};
 use spa_arch::{HwBudget, SegmentSchedule, SpaDesign};
 
 /// Per-PU DRAM bytes attributable to segment `s` (weights + external input
@@ -69,11 +69,10 @@ pub(crate) fn eval_pu_segment(
         items.iter().map(|&i| LayerDesc::from_item(&workload.items()[i])).collect();
     let mut cands = Vec::with_capacity(2);
     for df in [Dataflow::WeightStationary, Dataflow::OutputStationary] {
-        // One batched probe per dataflow: the cache partitions the
-        // segment's layers into hits and misses with one lock pass per
-        // shard instead of one lock per layer.
+        // One batched probe per dataflow over the segment's layers.
+        let probes: Vec<_> = descs.iter().map(|d| (*d, *pu, df)).collect();
         let (mut cycles, mut energy) = (0u64, 0f64);
-        for e in cache.evaluate_layers(&descs, pu, df) {
+        for e in cache.evaluate_probes(&probes) {
             cycles += e.cycles;
             energy += e.energy.total_pj();
         }
@@ -475,22 +474,19 @@ fn build_design(
             }
             geoms.push((r, c));
         }
-        // Score every surviving geometry in one batched sweep per item:
-        // each layer compiles its cost program once and runs it down the
-        // SoA geometry columns (total cycles per geometry are the same
-        // sums as the old per-(geometry, item) probe loop).
-        let batch = PuBatch::from_pus(
-            &geoms
-                .iter()
-                .map(|&(r, c)| PuConfig::new(r, c).with_freq_mhz(budget.freq_mhz))
-                .collect::<Vec<_>>(),
-        );
+        // Score every surviving geometry with two batched probes per
+        // item, all geometries under WS, then all under OS.
+        let cands: Vec<PuConfig> = geoms
+            .iter()
+            .map(|&(r, c)| PuConfig::new(r, c).with_freq_mhz(budget.freq_mhz))
+            .collect();
         let mut totals = vec![0u64; geoms.len()];
         for d in &items_here {
-            let ws = cache.evaluate_batch(d, &batch, Dataflow::WeightStationary);
-            let os = cache.evaluate_batch(d, &batch, Dataflow::OutputStationary);
-            for (g, total) in totals.iter_mut().enumerate() {
-                *total += ws.evals()[g].cycles.min(os.evals()[g].cycles);
+            let sweep = |df| cands.iter().map(|pu| (*d, *pu, df)).collect::<Vec<_>>();
+            let ws = cache.evaluate_probes(&sweep(Dataflow::WeightStationary));
+            let os = cache.evaluate_probes(&sweep(Dataflow::OutputStationary));
+            for (total, (w, o)) in totals.iter_mut().zip(ws.iter().zip(&os)) {
+                *total += w.cycles.min(o.cycles);
             }
         }
         let mut best: Option<(u64, usize, usize)> = None;

@@ -3,10 +3,12 @@
 //! results for any worker count. `threads = 1` is the serial reference
 //! path (no threads are spawned), so these tests pin parallel == serial.
 
+use autoseg::allocate::allocate_with;
 use autoseg::codesign::{run_codesign, run_codesign_with, CodesignBudgets, DesignPoint, Method};
 use autoseg::dse::DsePool;
-use autoseg::{AutoSeg, RunCtl};
-use nnmodel::zoo;
+use autoseg::segment::{ChainDpSegmenter, Segmenter};
+use autoseg::{AutoSeg, DesignGoal, RunCtl};
+use nnmodel::{zoo, Workload};
 use pucost::EvalCache;
 use spa_arch::HwBudget;
 
@@ -154,4 +156,40 @@ fn engine_sweep_is_thread_count_invariant() {
             parallel.report.energy.total_pj()
         );
     }
+}
+
+/// Replays one design's engine sweep at 1 thread into one cache — every
+/// `(N, S)` shape of squeezenet1_0 on Eyeriss through the chain-DP
+/// segmenter, `allocate_with` and `simulate_spa_with`, as the engine's
+/// per-shape pipeline runs it — and pins the cache's counters and
+/// contents (hits, misses, entries, the fullest shard and a hash of the
+/// export), so the probes the allocator and the simulator make, and the
+/// keys they store, cannot drift.
+#[test]
+fn one_design_sweep_pins_cache_contents() {
+    let w = Workload::from_graph(&zoo::squeezenet1_0());
+    let budget = HwBudget::eyeriss();
+    let cache = EvalCache::default();
+    let l = w.len();
+    for n in 2..=8usize.min(l).min(budget.pes) {
+        for s in 1..=12usize.min(l / n) {
+            let Ok(schedule) = ChainDpSegmenter::new().segment(&w, n, s) else {
+                continue;
+            };
+            let Ok(design) = allocate_with(&w, &schedule, &budget, DesignGoal::Latency, &cache)
+            else {
+                continue;
+            };
+            if design.fits(&budget) && design.segment_routings(&w).is_ok() {
+                spa_sim::simulate_spa_with(&w, &design, &cache);
+            }
+        }
+    }
+    let stats = cache.stats();
+    assert_eq!(
+        (stats.hits, stats.misses, stats.entries, stats.max_shard),
+        (251_700, 2_588, 2_588, 182)
+    );
+    let export = faultsim::rng::fnv1a(cache.export_lines().join("\n").as_bytes());
+    assert_eq!(export, 0xa327_b824_7804_d32b, "cache contents drifted");
 }

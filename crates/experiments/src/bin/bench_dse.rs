@@ -27,8 +27,8 @@ use nnmodel::zoo;
 use obs::json::{obj, Json};
 use pucost::util::f64_of_usize;
 use pucost::{
-    best_dataflow, best_dataflow_batch, CompiledEval, EnergyModel, EvalCache, LayerDesc, PuBatch,
-    PuConfig,
+    best_dataflow, pick_dataflow, CompiledEval, Dataflow, EnergyModel, EvalCache, LayerDesc,
+    PuConfig, PuEval,
 };
 use spa_arch::HwBudget;
 use std::time::{Duration, Instant};
@@ -203,11 +203,34 @@ fn microbench_pus() -> Vec<PuConfig> {
     pus
 }
 
+/// One layer's best-dataflow picks against every candidate, compiled
+/// once for the layer and run down the candidate slice (the "batch
+/// kernel").
+fn batch_kernel(l: &LayerDesc, pus: &[PuConfig], em: &EnergyModel) -> Vec<PuEval> {
+    let compiled = CompiledEval::new(l, em);
+    pus.iter().map(|pu| compiled.best(pu).1).collect()
+}
+
+/// One layer's best-dataflow picks against every candidate through the
+/// cache's batch entry: WS then OS per candidate, paired with
+/// [`pick_dataflow`] (the "cache batch").
+fn cache_batch(cache: &EvalCache, l: &LayerDesc, pus: &[PuConfig]) -> Vec<PuEval> {
+    let probes: Vec<(LayerDesc, PuConfig, Dataflow)> = pus
+        .iter()
+        .flat_map(|pu| {
+            [Dataflow::WeightStationary, Dataflow::OutputStationary].map(|df| (*l, *pu, df))
+        })
+        .collect();
+    let evals = cache.evaluate_probes(&probes);
+    evals.chunks_exact(2).map(|pair| pick_dataflow(pair[0], pair[1]).1).collect()
+}
+
 /// Pure-eval microbenchmark: cold best-dataflow throughput of the scalar
-/// kernel vs the compiled batch kernel (the headline `batch_vs_scalar`
-/// ratio), the precompiled-reuse ceiling, the cache-routed cold paths,
-/// and the batched cache path's 1/2/4-thread scaling. Every variant is
-/// asserted bit-identical to the scalar reference before any timing.
+/// kernel vs the compiled kernel built once per layer (the headline
+/// `batch_vs_scalar` ratio), the precompiled-reuse ceiling, the
+/// cache-routed cold paths, and the batched cache path's 1/2/4-thread
+/// scaling. Every variant is asserted bit-identical to the scalar
+/// reference before any timing.
 ///
 /// Timings are best-of-N interleaved: each round times every variant
 /// once, and a variant's reported rate is its fastest round. On a shared
@@ -217,7 +240,6 @@ fn microbench_pus() -> Vec<PuConfig> {
 fn eval_microbench() -> (Json, Json) {
     let layers = microbench_layers();
     let pus = microbench_pus();
-    let batch = PuBatch::from_pus(&pus);
     let em = EnergyModel::tsmc28();
     let smoke = matches!(std::env::var("DSE_SMOKE"), Ok(v) if !v.is_empty() && v != "0");
     let rounds: usize = if smoke { 4 } else { 10 };
@@ -233,18 +255,16 @@ fn eval_microbench() -> (Json, Json) {
         let scalar_cache = EvalCache::default();
         let batch_cache = EvalCache::default();
         for l in &layers {
-            let compiled = CompiledEval::new(l, &em);
-            let free = best_dataflow_batch(l, &batch, &em);
-            let cached = batch_cache.best_dataflow_batch(l, &batch);
+            let kernel = batch_kernel(l, &pus, &em);
+            let cached = cache_batch(&batch_cache, l, &pus);
             for (i, pu) in pus.iter().enumerate() {
                 let (df, eval) = best_dataflow(l, pu, &em);
-                assert_eq!(free.evals()[i], eval, "batch kernel diverged from scalar eval");
-                assert_eq!(free.evals()[i].dataflow, df, "batch kernel diverged from scalar pick");
-                assert_eq!(compiled.best(pu), (df, eval), "compiled diverged from scalar");
+                assert_eq!(kernel[i], eval, "batch kernel diverged from scalar eval");
+                assert_eq!(kernel[i].dataflow, df, "batch kernel diverged from scalar pick");
                 let (cdf, ceval) = scalar_cache.best_dataflow(l, pu);
                 assert_eq!((cdf, ceval), (df, eval), "cache scalar diverged from scalar");
-                assert_eq!(cached.evals()[i], eval, "cache batch diverged from scalar eval");
-                assert_eq!(cached.evals()[i].dataflow, df, "cache batch diverged from scalar pick");
+                assert_eq!(cached[i], eval, "cache batch diverged from scalar eval");
+                assert_eq!(cached[i].dataflow, df, "cache batch diverged from scalar pick");
             }
         }
     }
@@ -264,7 +284,7 @@ fn eval_microbench() -> (Json, Json) {
 
         let t0 = Instant::now();
         for l in &layers {
-            std::hint::black_box(best_dataflow_batch(l, &batch, &em).len());
+            std::hint::black_box(batch_kernel(l, &pus, &em).len());
         }
         best[1] = best[1].max(per_round / t0.elapsed().as_secs_f64().max(1e-9));
 
@@ -288,7 +308,7 @@ fn eval_microbench() -> (Json, Json) {
         let cache = EvalCache::default();
         let t0 = Instant::now();
         for l in &layers {
-            std::hint::black_box(cache.best_dataflow_batch(l, &batch).len());
+            std::hint::black_box(cache_batch(&cache, l, &pus).len());
         }
         best[4] = best[4].max(per_round / t0.elapsed().as_secs_f64().max(1e-9));
     }
@@ -327,7 +347,7 @@ fn eval_microbench() -> (Json, Json) {
             std::hint::black_box(pool.par_map(&chunks, |_, chunk| {
                 let mut n = 0usize;
                 for l in *chunk {
-                    n += cache.best_dataflow_batch(l, &batch).len();
+                    n += cache_batch(&cache, l, &pus).len();
                 }
                 n
             }));

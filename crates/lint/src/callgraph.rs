@@ -317,13 +317,13 @@ mod tests {
     #[test]
     fn unambiguous_method_crosses_crates_ambiguous_does_not() {
         let (_, syms, g) = graph(&[
-            ("serve", "fn f(c: &C) { c.probe_batch(); c.common(); }"),
-            ("pucost", "impl C { pub fn probe_batch(&self) {} }"),
+            ("serve", "fn f(c: &C) { c.evaluate_probes(); c.common(); }"),
+            ("pucost", "impl C { pub fn evaluate_probes(&self) {} }"),
             ("x1", "impl A { pub fn common(&self) {} }"),
             ("x2", "impl B { pub fn common(&self) {} }"),
             ("x3", "impl D { pub fn common(&self) {} }"),
         ]);
-        assert!(edge(&syms, &g, "serve::f", "pucost::C::probe_batch"));
+        assert!(edge(&syms, &g, "serve::f", "pucost::C::evaluate_probes"));
         assert!(!edge(&syms, &g, "serve::f", "x1::A::common"));
     }
 

@@ -72,7 +72,7 @@ pub struct LockDef {
 /// One function (or method) definition.
 #[derive(Debug, Clone)]
 pub struct FnDef {
-    /// Bare name (`worker_loop`, `probe_batch`).
+    /// Bare name (`worker_loop`, `evaluate_probes`).
     pub name: String,
     /// `impl`/`trait` owner type, if any (`Server`, `EvalCache`).
     pub owner: Option<String>,

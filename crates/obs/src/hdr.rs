@@ -1,9 +1,10 @@
-//! Two-level fixed-precision quantile histogram ("HDR-style").
+//! Two-level fixed-precision quantile histogram ("HDR-style"), the one
+//! histogram behind [`crate::record`].
 //!
-//! The legacy [`crate::record`] histograms use one log2 bucket per power
-//! of two, so a p99 estimate can be off by almost 2x — fine for orders
-//! of magnitude, useless for tail-latency work. [`HdrHist`] subdivides
-//! every power-of-two range into [`SUBS`] linear sub-buckets:
+//! One log2 bucket per power of two would put a p99 estimate off by
+//! almost 2x — fine for orders of magnitude, useless for tail-latency
+//! work. [`HdrHist`] subdivides every power-of-two range into [`SUBS`]
+//! linear sub-buckets:
 //!
 //! * values `< 32` are exact (one bucket per value);
 //! * a value with most-significant bit `b >= 5` lands in sub-bucket

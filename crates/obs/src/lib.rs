@@ -78,7 +78,7 @@ mod sink;
 pub use chrome::set_trace_out;
 pub use flight::{FlightDump, FlightEvent};
 pub use hdr::{HdrHist, MAX_RELATIVE_ERROR};
-pub use report::{HdrRow, HistRow, Report, SpanRow};
+pub use report::{HistRow, Report, SpanRow};
 pub use sink::{set_sink_memory, set_sink_path, sink_errors, take_memory_lines};
 
 use std::cell::{Cell, RefCell};
@@ -157,72 +157,11 @@ pub(crate) struct SpanStat {
     pub self_ns: u64,
 }
 
-/// Log2-bucketed histogram aggregate.
-#[derive(Debug, Clone)]
-pub(crate) struct Hist {
-    pub count: u64,
-    pub sum: u64,
-    pub min: u64,
-    pub max: u64,
-    /// `buckets[b]` counts values with `64 - leading_zeros(v) == b`
-    /// (bucket 0 holds zeros).
-    pub buckets: [u64; 65],
-}
-
-impl Default for Hist {
-    fn default() -> Self {
-        Self {
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-            buckets: [0; 65],
-        }
-    }
-}
-
-impl Hist {
-    fn record(&mut self, v: u64) {
-        self.count += 1;
-        self.sum = self.sum.saturating_add(v);
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-        self.buckets[(64 - v.leading_zeros()) as usize] += 1;
-    }
-
-    pub(crate) fn merge(&mut self, o: &Hist) {
-        self.count += o.count;
-        self.sum = self.sum.saturating_add(o.sum);
-        self.min = self.min.min(o.min);
-        self.max = self.max.max(o.max);
-        for (a, b) in self.buckets.iter_mut().zip(o.buckets.iter()) {
-            *a += b;
-        }
-    }
-
-    /// Upper bound of the bucket containing quantile `q` (0..=1).
-    pub(crate) fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = ((self.count as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (b, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= target {
-                return if b == 0 { 0 } else { (1u64 << b).saturating_sub(1) };
-            }
-        }
-        self.max
-    }
-}
-
 #[derive(Debug, Default)]
 struct Shard {
     spans: HashMap<&'static str, SpanStat>,
     counters: HashMap<&'static str, u64>,
-    hists: HashMap<&'static str, Hist>,
-    hdrs: HashMap<&'static str, HdrHist>,
+    hists: HashMap<&'static str, HdrHist>,
 }
 
 struct Collector {
@@ -278,25 +217,15 @@ pub fn add(name: &'static str, delta: u64) {
     *my_shard().counters.entry(name).or_insert(0) += delta;
 }
 
-/// Records one `value` into histogram `name`.
+/// Records one `value` into histogram `name` ([`HdrHist`]: p50/p90/p99/
+/// p999 within ~3%). Shard-local; the snapshot merges shards
+/// bucket-wise, which preserves quantiles exactly.
 #[inline]
 pub fn record(name: &'static str, value: u64) {
     if !enabled() {
         return;
     }
     my_shard().hists.entry(name).or_default().record(value);
-}
-
-/// Records one `value` into the fixed-precision quantile histogram
-/// `name` ([`HdrHist`]: p50/p90/p99/p999 within ~3%). Shard-local like
-/// [`record`]; the snapshot merges shards bucket-wise, which preserves
-/// quantiles exactly.
-#[inline]
-pub fn record_hdr(name: &'static str, value: u64) {
-    if !enabled() {
-        return;
-    }
-    my_shard().hdrs.entry(name).or_default().record(value);
 }
 
 // ---------------------------------------------------------------------------
@@ -353,7 +282,6 @@ pub fn reset() {
         s.spans.clear();
         s.counters.clear();
         s.hists.clear();
-        s.hdrs.clear();
     }
     *collector().epoch.lock().unwrap_or_else(|e| e.into_inner()) = Instant::now();
 }
@@ -362,8 +290,7 @@ pub fn reset() {
 pub fn snapshot() -> Report {
     let mut spans: HashMap<&'static str, SpanStat> = HashMap::new();
     let mut counters: HashMap<&'static str, u64> = HashMap::new();
-    let mut hists: HashMap<&'static str, Hist> = HashMap::new();
-    let mut hdrs: HashMap<&'static str, HdrHist> = HashMap::new();
+    let mut hists: HashMap<&'static str, HdrHist> = HashMap::new();
     for shard in &collector().shards {
         let s = shard.lock().unwrap_or_else(|e| e.into_inner());
         for (k, v) in &s.spans {
@@ -378,11 +305,8 @@ pub fn snapshot() -> Report {
         for (k, v) in &s.hists {
             hists.entry(k).or_default().merge(v);
         }
-        for (k, v) in &s.hdrs {
-            hdrs.entry(k).or_default().merge(v);
-        }
     }
-    Report::build(spans, counters, hists, hdrs, since_epoch_ns())
+    Report::build(spans, counters, hists, since_epoch_ns())
 }
 
 // ---------------------------------------------------------------------------
@@ -743,17 +667,21 @@ mod tests {
 
     #[test]
     fn histogram_quantiles_bracket_the_data() {
-        let mut h = Hist::default();
-        for v in 1..=1000u64 {
-            h.record(v);
-        }
-        assert!(h.quantile(0.5) >= 500 && h.quantile(0.5) <= 1023);
-        assert!(h.quantile(1.0) >= 1000);
-        assert_eq!(Hist::default().quantile(0.5), 0);
-        let mut z = Hist::default();
-        z.record(0);
-        assert_eq!(z.quantile(1.0), 0);
-        assert_eq!(z.min, 0);
+        with_level(Level::Summary, || {
+            for v in 1..=1000u64 {
+                record("h", v);
+            }
+            record("zero", 0);
+            let r = snapshot();
+            let h = r.hist("h").expect("histogram recorded");
+            // Bucket upper bounds: never below the true quantile, at
+            // most 1/32 above it, and never past the largest value.
+            assert!(h.p50 >= 500 && h.p50 <= 500 + 500 / 32, "p50 {}", h.p50);
+            assert!(h.p99 >= 990 && h.p99 <= h.max);
+            assert_eq!((h.min, h.max), (1, 1000));
+            let z = r.hist("zero").expect("zero recorded");
+            assert_eq!((z.min, z.p50, z.p999, z.max), (0, 0, 0, 0));
+        });
     }
 
     #[test]

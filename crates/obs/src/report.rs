@@ -2,7 +2,7 @@
 //! a stderr renderer and a JSON form.
 
 use crate::json::{obj, Json};
-use crate::{HdrHist, Hist, SpanStat};
+use crate::{HdrHist, SpanStat};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -19,37 +19,11 @@ pub struct SpanRow {
     pub self_ns: u64,
 }
 
-/// One histogram's merged summary.
-///
-/// The quantiles are *estimates* derived from the log2 buckets (each
-/// reported value is its bucket's upper bound, so a p-estimate can
-/// overshoot by up to 2x); render and JSON mark them `approx`. For
-/// tail-latency work use [`crate::record_hdr`] / [`HdrRow`] instead.
+/// One histogram's merged summary ([`crate::record`]; each quantile is
+/// its [`HdrHist`] bucket's upper bound, within ~3.1% of the true value).
 #[derive(Debug, Clone)]
 pub struct HistRow {
     /// Histogram name as passed to [`crate::record`].
-    pub name: String,
-    /// Number of recorded values.
-    pub count: u64,
-    /// Sum of recorded values (saturating).
-    pub sum: u64,
-    /// Smallest recorded value.
-    pub min: u64,
-    /// Largest recorded value.
-    pub max: u64,
-    /// Log2-bucket upper bound of the median.
-    pub p50: u64,
-    /// Log2-bucket upper bound of the 95th percentile.
-    pub p95: u64,
-    /// Log2-bucket upper bound of the 99th percentile.
-    pub p99: u64,
-}
-
-/// One fixed-precision quantile histogram's merged summary
-/// ([`crate::record_hdr`]; quantiles within ~3.1%).
-#[derive(Debug, Clone)]
-pub struct HdrRow {
-    /// Histogram name as passed to [`crate::record_hdr`].
     pub name: String,
     /// Number of recorded values.
     pub count: u64,
@@ -79,8 +53,6 @@ pub struct Report {
     pub counters: Vec<(String, u64)>,
     /// Histogram rows, sorted by name.
     pub hists: Vec<HistRow>,
-    /// Fixed-precision quantile rows, sorted by name.
-    pub hdrs: Vec<HdrRow>,
     /// Nanoseconds since the collector epoch when the snapshot was taken.
     pub wall_ns: u64,
 }
@@ -89,8 +61,7 @@ impl Report {
     pub(crate) fn build(
         spans: HashMap<&'static str, SpanStat>,
         counters: HashMap<&'static str, u64>,
-        hists: HashMap<&'static str, Hist>,
-        hdrs: HashMap<&'static str, HdrHist>,
+        hists: HashMap<&'static str, HdrHist>,
         wall_ns: u64,
     ) -> Report {
         let mut spans: Vec<SpanRow> = spans
@@ -114,21 +85,6 @@ impl Report {
             .into_iter()
             .map(|(name, h)| HistRow {
                 name: name.to_string(),
-                count: h.count,
-                sum: h.sum,
-                min: if h.count == 0 { 0 } else { h.min },
-                max: h.max,
-                p50: h.quantile(0.5),
-                p95: h.quantile(0.95),
-                p99: h.quantile(0.99),
-            })
-            .collect();
-        hists.sort_by(|a, b| a.name.cmp(&b.name));
-
-        let mut hdr_rows: Vec<HdrRow> = hdrs
-            .into_iter()
-            .map(|(name, h)| HdrRow {
-                name: name.to_string(),
                 count: h.count(),
                 sum: h.sum(),
                 min: h.min(),
@@ -139,23 +95,19 @@ impl Report {
                 p999: h.p999(),
             })
             .collect();
-        hdr_rows.sort_by(|a, b| a.name.cmp(&b.name));
+        hists.sort_by(|a, b| a.name.cmp(&b.name));
 
         Report {
             spans,
             counters,
             hists,
-            hdrs: hdr_rows,
             wall_ns,
         }
     }
 
     /// `true` when nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-            && self.counters.is_empty()
-            && self.hists.is_empty()
-            && self.hdrs.is_empty()
+        self.spans.is_empty() && self.counters.is_empty() && self.hists.is_empty()
     }
 
     /// Looks up a counter's total by name.
@@ -174,11 +126,6 @@ impl Report {
     /// Looks up a histogram row by name.
     pub fn hist(&self, name: &str) -> Option<&HistRow> {
         self.hists.iter().find(|h| h.name == name)
-    }
-
-    /// Looks up a fixed-precision quantile row by name.
-    pub fn hdr(&self, name: &str) -> Option<&HdrRow> {
-        self.hdrs.iter().find(|h| h.name == name)
     }
 
     /// Renders the human-readable summary (the stderr report): the top-N
@@ -221,27 +168,12 @@ impl Report {
             }
         }
         if !self.hists.is_empty() {
-            // `~` columns: log2-bucket estimates (upper bounds, approx).
             let _ = writeln!(
                 out,
                 "   {:<28} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
-                "histogram (approx)", "count", "min", "~p50", "~p95", "~p99", "max"
+                "histogram", "count", "p50", "p90", "p99", "p999", "max"
             );
             for h in &self.hists {
-                let _ = writeln!(
-                    out,
-                    "   {:<28} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
-                    h.name, h.count, h.min, h.p50, h.p95, h.p99, h.max
-                );
-            }
-        }
-        if !self.hdrs.is_empty() {
-            let _ = writeln!(
-                out,
-                "   {:<28} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
-                "hdr histogram", "count", "p50", "p90", "p99", "p999", "max"
-            );
-            for h in &self.hdrs {
                 let _ = writeln!(
                     out,
                     "   {:<28} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
@@ -274,19 +206,6 @@ impl Report {
                 ("sum", Json::from(h.sum)),
                 ("min", Json::from(h.min)),
                 ("p50", Json::from(h.p50)),
-                ("p95", Json::from(h.p95)),
-                ("p99", Json::from(h.p99)),
-                ("max", Json::from(h.max)),
-                ("approx", Json::from(true)),
-            ])
-        });
-        let hdrs = self.hdrs.iter().map(|h| {
-            obj(vec![
-                ("name", Json::from(h.name.as_str())),
-                ("count", Json::from(h.count)),
-                ("sum", Json::from(h.sum)),
-                ("min", Json::from(h.min)),
-                ("p50", Json::from(h.p50)),
                 ("p90", Json::from(h.p90)),
                 ("p99", Json::from(h.p99)),
                 ("p999", Json::from(h.p999)),
@@ -298,7 +217,6 @@ impl Report {
             ("spans", Json::Arr(spans.collect())),
             ("counters", Json::Obj(counters.collect())),
             ("hists", Json::Arr(hists.collect())),
-            ("hdrs", Json::Arr(hdrs.collect())),
         ])
     }
 }
@@ -328,18 +246,17 @@ mod tests {
         let mut counters = HashMap::new();
         counters.insert("cache.hits", 9u64);
         let mut hists = HashMap::new();
-        let mut h = Hist::default();
+        let mut h = HdrHist::new();
         for v in [1u64, 2, 3, 100] {
             h.record(v);
         }
         hists.insert("lat", h);
-        let mut hdrs = HashMap::new();
         let mut q = HdrHist::new();
         for v in 1..=1000u64 {
             q.record(v);
         }
-        hdrs.insert("tail", q);
-        Report::build(spans, counters, hists, hdrs, 1_000_000)
+        hists.insert("tail", q);
+        Report::build(spans, counters, hists, 1_000_000)
     }
 
     #[test]
@@ -360,21 +277,23 @@ mod tests {
     fn hist_quantile_estimates_bracket_and_order() {
         let r = sample();
         let h = r.hist("lat").unwrap();
-        // Log2 upper bounds: estimates never underestimate and are
-        // monotone p50 <= p95 <= p99 <= next power of two above max.
-        assert!(h.p50 >= 2 && h.p50 <= h.p95 && h.p95 <= h.p99);
-        assert!(h.p99 >= h.max && h.p99 < h.max * 2);
+        // Values below 32 sit in exact buckets; the tail is clamped to
+        // the largest value, and the quantiles are monotone.
+        assert_eq!(h.p50, 2);
+        assert!(h.p50 <= h.p90 && h.p90 <= h.p99 && h.p99 <= h.p999);
+        assert_eq!(h.p999, h.max);
+        assert_eq!(h.sum, 106);
     }
 
     #[test]
     fn hdr_rows_carry_tight_quantiles() {
         let r = sample();
-        let q = r.hdr("tail").unwrap();
+        let q = r.hist("tail").unwrap();
         assert_eq!(q.count, 1000);
         assert!(q.p50 >= 500 && q.p50 <= 516, "p50 within 1/32: {}", q.p50);
         assert!(q.p99 >= 990 && q.p99 <= 1000 + 1000 / 32);
         assert!(q.p999 <= q.max);
-        assert!(r.hdr("absent").is_none());
+        assert!(r.hist("absent").is_none());
     }
 
     #[test]
@@ -384,9 +303,9 @@ mod tests {
         assert!(top1.contains("hot"));
         assert!(top1.contains("... 1 more spans"));
         assert!(top1.contains("cache.hits"));
-        assert!(top1.contains("approx"), "legacy hists marked approximate");
-        assert!(top1.contains("~p95"));
-        assert!(top1.contains("hdr histogram"));
+        assert!(top1.contains("histogram"));
+        assert!(top1.contains("p999"));
+        assert!(top1.contains("tail"));
         let full = r.render(10);
         assert!(full.contains("cold"));
         assert!(!full.contains("more spans"));
@@ -400,14 +319,13 @@ mod tests {
         assert!(j.contains("\"name\":\"hot\""));
         assert!(j.contains("\"cache.hits\":9"));
         assert!(j.contains("\"wall_ns\":1000000"));
-        assert!(j.contains("\"approx\":true"));
-        assert!(j.contains("\"p95\":"));
-        let hdrs = r.to_json().get("hdrs").cloned().expect("hdrs array");
-        let first = match hdrs {
-            Json::Arr(rows) => rows.into_iter().next().expect("one hdr row"),
-            other => panic!("hdrs is not an array: {other:?}"),
+        let hists = r.to_json().get("hists").cloned().expect("hists array");
+        let rows = match hists {
+            Json::Arr(rows) => rows,
+            other => panic!("hists is not an array: {other:?}"),
         };
-        assert_eq!(first.get("name").and_then(Json::as_str), Some("tail"));
+        let names: Vec<_> = rows.iter().filter_map(|h| h.get("name")?.as_str()).collect();
+        assert_eq!(names, ["lat", "tail"]);
         assert!(j.contains("\"p999\":"));
         assert_eq!(
             j.matches('{').count(),
@@ -418,16 +336,10 @@ mod tests {
 
     #[test]
     fn empty_report_renders_placeholder() {
-        let r = Report::build(
-            HashMap::new(),
-            HashMap::new(),
-            HashMap::new(),
-            HashMap::new(),
-            0,
-        );
+        let r = Report::build(HashMap::new(), HashMap::new(), HashMap::new(), 0);
         assert!(r.is_empty());
         assert!(r.render(5).contains("nothing recorded"));
         assert!(r.to_json().render().contains("\"spans\":[]"));
-        assert!(r.to_json().render().contains("\"hdrs\":[]"));
+        assert!(r.to_json().render().contains("\"hists\":[]"));
     }
 }

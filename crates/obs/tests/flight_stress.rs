@@ -28,14 +28,14 @@ fn sharded_counters_and_hdr_survive_contention() {
             scope.spawn(move || {
                 for i in 0..EVENTS {
                     obs::add("stress.counter", 1);
-                    obs::record_hdr("stress.lat", t * EVENTS + i);
+                    obs::record("stress.lat", t * EVENTS + i);
                 }
             });
         }
     });
     let report = obs::snapshot();
     assert_eq!(report.counter("stress.counter"), Some(THREADS * EVENTS));
-    let hdr = report.hdr("stress.lat").expect("hdr row");
+    let hdr = report.hist("stress.lat").expect("histogram row");
     assert_eq!(hdr.count, THREADS * EVENTS, "no lost hdr samples");
     // The merged quantiles must match a serially built reference — the
     // per-shard histograms merge bucket-wise without fidelity loss.

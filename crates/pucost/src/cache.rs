@@ -1,5 +1,5 @@
 //! A sharded, thread-safe memoization cache fronting [`evaluate`] and
-//! [`best_dataflow`].
+//! [`best_dataflow`](crate::best_dataflow).
 //!
 //! The AutoSeg search loops (Algorithm 1's dataflow probes, the Section
 //! VI-G co-design sweeps) evaluate the same `(layer, PU, dataflow)`
@@ -13,12 +13,16 @@
 //! workers rarely contend on the same lock: the key hash picks the shard,
 //! and each shard is an independent map guarded by its own mutex.
 //!
+//! Every lookup — [`EvalCache::evaluate`], [`EvalCache::best_dataflow`]
+//! and the batch entry [`EvalCache::evaluate_probes`] — goes through one
+//! private probe: look the key up in its shard, otherwise evaluate it
+//! outside the lock with the reference [`evaluate`] and insert it. A
+//! batch is the same probes in order; it only adds its counters once.
+//!
 //! One cache is tied to one [`EnergyModel`] (the model is part of the
 //! evaluation's identity); callers that switch energy models use separate
 //! caches.
 
-use crate::batch::{PuBatch, PuEvalBatch};
-use crate::compile::CompiledEval;
 use crate::energy::EnergyModel;
 use crate::eval::{evaluate, pick_dataflow, PuEval};
 use crate::layer::LayerDesc;
@@ -75,6 +79,14 @@ const DEFAULT_SHARDS: usize = 16;
 struct Entry {
     eval: PuEval,
     warm: bool,
+}
+
+/// Hit/miss tallies of one call, added to the counters once per call.
+#[derive(Debug, Default)]
+struct Tally {
+    hits: u64,
+    warm_hits: u64,
+    misses: u64,
 }
 
 /// Sharded concurrent memo cache for PU cost evaluations.
@@ -155,28 +167,24 @@ impl EvalCache {
         &self.shards[self.shard_index(key)]
     }
 
-    /// Memoized [`evaluate`]: identical results, repeated calls served
-    /// from the shard map.
+    /// The one probe path: serves `(layer, pu, df)` from its shard, or
+    /// evaluates it outside the lock and inserts it, recording in `tally`
+    /// how it was served.
     ///
     /// Shard locks recover from poisoning: the map holds plain values
     /// whose invariants cannot be half-written, so a panicking worker
     /// elsewhere in the pool must not cascade through the cache.
-    pub fn evaluate(&self, layer: &LayerDesc, pu: &PuConfig, df: Dataflow) -> PuEval {
+    fn probe(&self, layer: &LayerDesc, pu: &PuConfig, df: Dataflow, tally: &mut Tally) -> PuEval {
         let key = EvalKey::new(layer, pu, df);
         let shard = self.shard_of(&key);
         if let Some(hit) = shard.lock().unwrap_or_else(|e| e.into_inner()).get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            obs::add("pucost.cache.hits", 1);
-            if hit.warm {
-                self.warm_hits.fetch_add(1, Ordering::Relaxed);
-                obs::add("pucost.cache.warm_hits", 1);
-            }
+            tally.hits += 1;
+            tally.warm_hits += u64::from(hit.warm);
             return hit.eval;
         }
         // Compute outside the lock so a slow evaluation never blocks the
         // shard's other keys.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        obs::add("pucost.cache.misses", 1);
+        tally.misses += 1;
         let eval = evaluate(layer, pu, df, &self.em);
         // `cache.poison` fault point: poison this shard's mutex as a
         // crashed worker would, then proceed — the insert below must
@@ -198,257 +206,65 @@ impl EvalCache {
         eval
     }
 
-    /// Memoized [`best_dataflow`]: probes both dataflows through the cache
-    /// and applies the same latency-first, energy-tie-break selection.
+    /// Adds one call's tallies to the counters and the obs collector.
+    fn count(&self, tally: &Tally) {
+        if tally.hits > 0 {
+            self.hits.fetch_add(tally.hits, Ordering::Relaxed);
+            obs::add("pucost.cache.hits", tally.hits);
+        }
+        if tally.warm_hits > 0 {
+            self.warm_hits.fetch_add(tally.warm_hits, Ordering::Relaxed);
+            obs::add("pucost.cache.warm_hits", tally.warm_hits);
+        }
+        if tally.misses > 0 {
+            self.misses.fetch_add(tally.misses, Ordering::Relaxed);
+            obs::add("pucost.cache.misses", tally.misses);
+        }
+    }
+
+    /// Memoized [`evaluate`]: identical results, repeated calls served
+    /// from the shard map.
+    pub fn evaluate(&self, layer: &LayerDesc, pu: &PuConfig, df: Dataflow) -> PuEval {
+        let mut tally = Tally::default();
+        let eval = self.probe(layer, pu, df, &mut tally);
+        self.count(&tally);
+        eval
+    }
+
+    /// Memoized [`best_dataflow`](crate::best_dataflow): probes both
+    /// dataflows through the cache and applies the same latency-first,
+    /// energy-tie-break selection.
     pub fn best_dataflow(&self, layer: &LayerDesc, pu: &PuConfig) -> (Dataflow, PuEval) {
         let ws = self.evaluate(layer, pu, Dataflow::WeightStationary);
         let os = self.evaluate(layer, pu, Dataflow::OutputStationary);
         pick_dataflow(ws, os)
     }
 
-    /// Batched probe core: resolves every key in `keys`, touching each
-    /// shard's lock at most twice (one hit-probe pass, one miss-insert
-    /// pass) instead of once or twice *per key* like the scalar path.
-    ///
-    /// Misses are computed outside all locks through a [`CompiledEval`]
-    /// that is recompiled only when the layer changes (callers order keys
-    /// layer-major, so a batch over one layer compiles once). Results,
-    /// counters and the `cache.poison` fault point behave exactly like an
-    /// equivalent sequence of scalar [`EvalCache::evaluate`] calls:
-    /// duplicate keys within a batch count one miss then hits, values are
-    /// bit-identical, and the injected-poison recovery leaves every entry
-    /// served.
-    fn probe_batch(&self, keys: &[EvalKey]) -> Vec<PuEval> {
-        let n = keys.len();
-        if n == 0 {
+    /// Memoized evaluation of a `(layer, PU, dataflow)` list, in order:
+    /// the same values, entries, counts and `cache.poison` draws as an
+    /// [`EvalCache::evaluate`] loop over `probes` (an in-batch duplicate
+    /// of a miss hits the entry its first occurrence inserted). The
+    /// counters are added once per call, the call counts under
+    /// [`EvalCache::batched_probes`], and the flight recorder notes it as
+    /// `cache.batch_probe` with its probe and miss counts.
+    pub fn evaluate_probes(&self, probes: &[(LayerDesc, PuConfig, Dataflow)]) -> Vec<PuEval> {
+        if probes.is_empty() {
             return Vec::new();
         }
-        self.batched_probes.fetch_add(u64_of(n), Ordering::Relaxed);
-        let n_shards = self.shards.len();
-        let mut out: Vec<Option<PuEval>> = vec![None; n];
-        // Pass 0 — shard assignment by prefix-cloned hashing. The derived
-        // `Hash` for `EvalKey` feeds one sequential hasher field by field
-        // (layer first), so hashing the layer once into a base hasher and
-        // cloning it per key before hashing the remaining fields yields
-        // the exact same `finish()` — and therefore the same shard — as
-        // the scalar `shard_index`, while paying the (large) layer hash
-        // once per layer run instead of once per key.
-        let mut shard_idx: Vec<usize> = Vec::with_capacity(n);
-        let mut counts: Vec<usize> = vec![0; n_shards];
-        let mut prefix: Option<(LayerDesc, std::collections::hash_map::DefaultHasher)> = None;
-        for key in keys {
-            let mut h = match &prefix {
-                Some((layer, base)) if *layer == key.layer => base.clone(),
-                _ => {
-                    let mut base = std::collections::hash_map::DefaultHasher::new();
-                    key.layer.hash(&mut base);
-                    let h = base.clone();
-                    prefix = Some((key.layer, base));
-                    h
-                }
-            };
-            key.rows.hash(&mut h);
-            key.cols.hash(&mut h);
-            key.act_buf_bytes.hash(&mut h);
-            key.wgt_buf_bytes.hash(&mut h);
-            key.freq_bits.hash(&mut h);
-            key.dataflow.hash(&mut h);
-            let si = crate::util::usize_of(h.finish()) % n_shards;
-            shard_idx.push(si);
-            counts[si] += 1;
-        }
-        // Flat counting-sort bucketing: `order` lists key indices grouped
-        // by shard (batch order within a shard), replacing per-shard Vecs.
-        let mut starts: Vec<usize> = Vec::with_capacity(n_shards);
-        let mut acc = 0usize;
-        for &c in &counts {
-            starts.push(acc);
-            acc += c;
-        }
-        let mut cursor = starts.clone();
-        let mut order: Vec<usize> = vec![0; n];
-        for (i, &si) in shard_idx.iter().enumerate() {
-            order[cursor[si]] = i;
-            cursor[si] += 1;
-        }
-        // Pass 1 — probe: one lock per populated shard. In-batch duplicate
-        // keys that miss are resolved by a linear scan of the shard's
-        // pending misses (batches are small per shard, and key equality is
-        // far cheaper than the two extra hashes a dedupe map would cost);
-        // duplicates of present entries simply hit the map like the first
-        // occurrence did.
-        let mut locks = 0u64;
-        let mut hit_count = 0u64;
-        let mut warm_count = 0u64;
-        // Miss key indices grouped by shard (shard-major, batch order
-        // within a shard), with per-shard counts for the insert pass.
-        let mut miss_by_shard: Vec<usize> = Vec::new();
-        let mut miss_counts: Vec<usize> = vec![0; n_shards];
-        // (duplicate, first-miss) index pairs, resolved after pass 2.
-        let mut dups: Vec<(usize, usize)> = Vec::new();
-        for si in 0..n_shards {
-            let bucket = &order[starts[si]..starts[si] + counts[si]];
-            if bucket.is_empty() {
-                continue;
-            }
-            let guard = self.shards[si].lock().unwrap_or_else(|e| e.into_inner());
-            locks += 1;
-            let pending_from = miss_by_shard.len();
-            for &i in bucket {
-                if let Some(hit) = guard.get(&keys[i]) {
-                    hit_count += 1;
-                    if hit.warm {
-                        warm_count += 1;
-                    }
-                    out[i] = Some(hit.eval);
-                } else if let Some(&j) =
-                    miss_by_shard[pending_from..].iter().find(|&&j| keys[j] == keys[i])
-                {
-                    // Duplicate of an earlier in-batch miss: the scalar
-                    // sequence would hit the (cold) entry the first
-                    // occurrence inserted.
-                    dups.push((i, j));
-                    hit_count += 1;
-                } else {
-                    miss_by_shard.push(i);
-                    miss_counts[si] += 1;
-                }
-            }
-        }
-        // Pass 2 — compute all misses outside any lock, in batch order so
-        // one layer's candidates share one compiled program.
-        let mut miss_idx = miss_by_shard.clone();
-        miss_idx.sort_unstable();
-        let mut compiled: Option<CompiledEval> = None;
-        for &i in &miss_idx {
-            let key = &keys[i];
-            if compiled.as_ref().is_none_or(|c| *c.layer() != key.layer) {
-                compiled = Some(CompiledEval::new(&key.layer, &self.em));
-            }
-            let program = compiled.as_ref().expect("compiled above");
-            out[i] = Some(program.eval_parts(
-                key.rows,
-                key.cols,
-                key.act_buf_bytes,
-                key.wgt_buf_bytes,
-                f64::from_bits(key.freq_bits),
-                key.dataflow,
-            ));
-        }
-        // `cache.poison` fault point: the scalar path checks once per
-        // miss, so the batch path draws the same number of faults in the
-        // same (batch) order and poisons each struck shard before its
-        // insert pass below, which must recover.
-        let mut poisoned: Vec<bool> = vec![false; n_shards];
-        if faultsim::armed() {
-            for &i in &miss_idx {
-                if faultsim::hit("cache.poison") {
-                    obs::add("fault.injected", 1);
-                    obs::event("fault.injected", &[("point", "cache.poison".into())]);
-                    poisoned[shard_idx[i]] = true;
-                }
-            }
-        }
-        // Pass 3 — insert: one lock per shard that had misses, walking the
-        // shard-major miss list by per-shard counts.
-        let mut off = 0usize;
-        for (si, &cnt) in miss_counts.iter().enumerate() {
-            let bucket = &miss_by_shard[off..off + cnt];
-            off += cnt;
-            if bucket.is_empty() {
-                continue;
-            }
-            if poisoned[si] {
-                poison_mutex(&self.shards[si]);
-            }
-            let mut guard = self.shards[si].lock().unwrap_or_else(|e| {
-                obs::add("fault.recovered", 1);
-                obs::event("fault.recovered", &[("point", "cache.poison".into())]);
-                e.into_inner()
-            });
-            locks += 1;
-            for &i in bucket {
-                let eval = out[i].expect("miss computed in pass 2");
-                guard.insert(keys[i], Entry { eval, warm: false });
-            }
-        }
-        // In-batch duplicates of misses resolve against their first
-        // occurrence; they were counted as (cold) hits in pass 1.
-        for &(i, j) in &dups {
-            out[i] = out[j];
-        }
-        let miss_count = u64_of(miss_idx.len());
-        self.hits.fetch_add(hit_count, Ordering::Relaxed);
-        self.warm_hits.fetch_add(warm_count, Ordering::Relaxed);
-        self.misses.fetch_add(miss_count, Ordering::Relaxed);
-        self.batch_misses.fetch_add(miss_count, Ordering::Relaxed);
-        self.batch_shard_locks.fetch_add(locks, Ordering::Relaxed);
-        if hit_count > 0 {
-            obs::add("pucost.cache.hits", hit_count);
-        }
-        if warm_count > 0 {
-            obs::add("pucost.cache.warm_hits", warm_count);
-        }
-        if miss_count > 0 {
-            obs::add("pucost.cache.misses", miss_count);
-        }
-        obs::add("pucost.cache.batched_probes", u64_of(n));
-        obs::flight::note("cache.batch_probe", u64_of(n), miss_count);
-        out.into_iter().map(|e| e.expect("all keys resolved")).collect()
-    }
-
-    /// Memoized [`crate::evaluate_batch`]: evaluates `layer` against
-    /// every candidate in `pus` under `df`, serving hits and inserting
-    /// misses with one lock acquisition per shard. Results (and the
-    /// resulting cache contents) are bit-identical to calling
-    /// [`EvalCache::evaluate`] per candidate.
-    pub fn evaluate_batch(&self, layer: &LayerDesc, pus: &PuBatch, df: Dataflow) -> PuEvalBatch {
-        let keys: Vec<EvalKey> =
-            (0..pus.len()).map(|i| EvalKey::new(layer, &pus.pu(i), df)).collect();
-        PuEvalBatch::from(self.probe_batch(&keys))
-    }
-
-    /// Memoized [`crate::best_dataflow_batch`]: probes WS and OS for
-    /// every candidate in one fused sweep (both entries are cached, as
-    /// the scalar [`EvalCache::best_dataflow`] would) and applies the
-    /// shared latency-first, energy-tie-break selection per candidate.
-    pub fn best_dataflow_batch(&self, layer: &LayerDesc, pus: &PuBatch) -> PuEvalBatch {
-        let mut keys = Vec::with_capacity(pus.len() * 2);
-        for i in 0..pus.len() {
-            let pu = pus.pu(i);
-            keys.push(EvalKey::new(layer, &pu, Dataflow::WeightStationary));
-            keys.push(EvalKey::new(layer, &pu, Dataflow::OutputStationary));
-        }
-        let evals = self.probe_batch(&keys);
-        let picked: Vec<PuEval> = evals
-            .chunks_exact(2)
-            .map(|pair| pick_dataflow(pair[0], pair[1]).1)
+        let mut tally = Tally::default();
+        let out = probes
+            .iter()
+            .map(|(layer, pu, df)| self.probe(layer, pu, *df, &mut tally))
             .collect();
-        PuEvalBatch::from(picked)
-    }
-
-    /// Batched probe of many layers against one PU under one dataflow —
-    /// the segment-scoring shape (`eval_pu_segment` sums one PU over a
-    /// segment's items). Same results and cache contents as a scalar
-    /// [`EvalCache::evaluate`] loop.
-    pub fn evaluate_layers(
-        &self,
-        layers: &[LayerDesc],
-        pu: &PuConfig,
-        df: Dataflow,
-    ) -> Vec<PuEval> {
-        let keys: Vec<EvalKey> = layers.iter().map(|l| EvalKey::new(l, pu, df)).collect();
-        self.probe_batch(&keys)
-    }
-
-    /// Batched probe of an arbitrary `(layer, PU, dataflow)` list — the
-    /// heterogeneous shape the serving scheduler collects. Group probes
-    /// by layer where possible: each layer change recompiles the miss
-    /// kernel.
-    pub fn evaluate_probes(&self, probes: &[(LayerDesc, PuConfig, Dataflow)]) -> Vec<PuEval> {
-        let keys: Vec<EvalKey> =
-            probes.iter().map(|(l, pu, df)| EvalKey::new(l, pu, *df)).collect();
-        self.probe_batch(&keys)
+        self.count(&tally);
+        let n = u64_of(probes.len());
+        self.batched_probes.fetch_add(n, Ordering::Relaxed);
+        self.batch_misses.fetch_add(tally.misses, Ordering::Relaxed);
+        // One shard lock per hit, two per miss (probe, then insert).
+        self.batch_shard_locks.fetch_add(n + tally.misses, Ordering::Relaxed);
+        obs::add("pucost.cache.batched_probes", n);
+        obs::flight::note("cache.batch_probe", n, tally.misses);
+        out
     }
 
     /// Number of lookups served from the cache (both tiers).
@@ -473,21 +289,19 @@ impl EvalCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Lookups that arrived through the batch API (each batched key
-    /// counts once; also included in `hits`/`misses`).
+    /// Lookups that arrived through [`EvalCache::evaluate_probes`] (each
+    /// probe counts once; also included in `hits`/`misses`).
     pub fn batched_probes(&self) -> u64 {
         self.batched_probes.load(Ordering::Relaxed)
     }
 
-    /// Batch-path lookups that had to evaluate (subset of `misses`).
+    /// Batched lookups that had to evaluate (subset of `misses`).
     pub fn batch_misses(&self) -> u64 {
         self.batch_misses.load(Ordering::Relaxed)
     }
 
-    /// Shard-lock acquisitions taken by the batch path. The scalar path
-    /// pays one lock per probe plus one per insert; comparing this
-    /// against `batched_probes` shows the amortization (a whole batch
-    /// costs at most `2 * shards` acquisitions).
+    /// Shard-lock acquisitions taken by batched lookups: one per hit,
+    /// two per miss (probe, then insert), as on the scalar path.
     pub fn batch_shard_locks(&self) -> u64 {
         self.batch_shard_locks.load(Ordering::Relaxed)
     }
@@ -763,12 +577,12 @@ pub struct CacheStats {
     pub shards: usize,
     /// Occupancy of the fullest shard (balance indicator).
     pub max_shard: usize,
-    /// Lookups that arrived through the batch API.
+    /// Lookups that arrived through [`EvalCache::evaluate_probes`].
     pub batched_probes: u64,
-    /// Batch-path lookups that had to evaluate.
+    /// Batched lookups that had to evaluate.
     pub batch_misses: u64,
-    /// Shard-lock acquisitions taken by the batch path (at most two per
-    /// populated shard per batch — the amortization the batch API buys).
+    /// Shard-lock acquisitions taken by batched lookups (one per hit,
+    /// two per miss).
     pub batch_shard_locks: u64,
 }
 
@@ -980,41 +794,39 @@ mod tests {
             .iter()
             .map(|&(r, c)| PuConfig::new(r, c).with_buffers(4096, 4096))
             .collect();
-        let batch = crate::batch::PuBatch::from_pus(&pus);
+        let probes = |df| pus.iter().map(|pu| (conv(), *pu, df)).collect::<Vec<_>>();
         for df in [Dataflow::WeightStationary, Dataflow::OutputStationary] {
-            let out = batched.evaluate_batch(&conv(), &batch, df);
+            let out = batched.evaluate_probes(&probes(df));
             for (i, pu) in pus.iter().enumerate() {
-                assert_eq!(out.evals()[i], scalar.evaluate(&conv(), pu, df));
+                assert_eq!(out[i], scalar.evaluate(&conv(), pu, df));
             }
         }
         assert_eq!(batched.len(), scalar.len());
         assert_eq!(batched.misses(), scalar.misses());
         assert_eq!(batched.batched_probes(), 2 * pus.len() as u64);
         assert_eq!(batched.batch_misses(), batched.misses());
-        // Two passes over at most `shards` locks per batch, never one
-        // lock per probe.
-        assert!(batched.batch_shard_locks() <= 2 * 2 * DEFAULT_SHARDS as u64);
-        // A second identical batch is all hits: only probe locks.
-        let before = batched.batch_shard_locks();
-        let again = batched.evaluate_batch(&conv(), &batch, Dataflow::WeightStationary);
-        assert_eq!(again.evals()[3], scalar.evaluate(&conv(), &pus[3], Dataflow::WeightStationary));
+        // A second identical batch is all hits.
+        let again = batched.evaluate_probes(&probes(Dataflow::WeightStationary));
+        assert_eq!(again[3], scalar.evaluate(&conv(), &pus[3], Dataflow::WeightStationary));
         assert_eq!(batched.batch_misses(), batched.misses(), "no new misses");
-        assert!(batched.batch_shard_locks() - before <= DEFAULT_SHARDS as u64);
     }
 
     #[test]
-    fn best_dataflow_batch_matches_scalar_pick_and_entries() {
+    fn batch_best_picks_match_scalar_pick_and_entries() {
         let em = EnergyModel::tsmc28();
         let scalar = EvalCache::new(em);
         let batched = EvalCache::new(em);
         let pus: Vec<PuConfig> =
             [(4, 4), (16, 16), (32, 8)].iter().map(|&(r, c)| PuConfig::new(r, c)).collect();
-        let batch = crate::batch::PuBatch::from_pus(&pus);
-        let out = batched.best_dataflow_batch(&conv(), &batch);
-        for (i, pu) in pus.iter().enumerate() {
-            let (df, eval) = scalar.best_dataflow(&conv(), pu);
-            assert_eq!(out.evals()[i], eval);
-            assert_eq!(out.evals()[i].dataflow, df);
+        let probes: Vec<_> = pus
+            .iter()
+            .flat_map(|pu| {
+                [Dataflow::WeightStationary, Dataflow::OutputStationary].map(|df| (conv(), *pu, df))
+            })
+            .collect();
+        let out = batched.evaluate_probes(&probes);
+        for (pair, pu) in out.chunks_exact(2).zip(&pus) {
+            assert_eq!(pick_dataflow(pair[0], pair[1]), scalar.best_dataflow(&conv(), pu));
         }
         // Both dataflow entries are cached, exactly like the scalar path.
         assert_eq!(batched.len(), scalar.len());
@@ -1025,8 +837,8 @@ mod tests {
     fn batch_duplicates_count_like_sequential_probes() {
         let cache = EvalCache::new(EnergyModel::tsmc28());
         let pu = PuConfig::new(16, 16);
-        let layers = vec![conv(), conv(), conv()];
-        let out = cache.evaluate_layers(&layers, &pu, Dataflow::WeightStationary);
+        let probes = vec![(conv(), pu, Dataflow::WeightStationary); 3];
+        let out = cache.evaluate_probes(&probes);
         assert_eq!(out[0], out[1]);
         assert_eq!(out[1], out[2]);
         // First occurrence misses, the two duplicates hit — the same
@@ -1059,14 +871,13 @@ mod tests {
         assert_eq!((cache.hits(), cache.warm_hits(), cache.misses()), (1, 1, 2));
         let s = cache.stats();
         assert_eq!((s.batched_probes, s.batch_misses), (3, 2));
-        assert!(s.batch_shard_locks >= 2);
+        assert_eq!(s.batch_shard_locks, 1 + 2 * 2, "one lock per hit, two per miss");
     }
 
     #[test]
     fn empty_batch_touches_nothing() {
         let cache = EvalCache::new(EnergyModel::tsmc28());
-        let out = cache.evaluate_batch(&conv(), &crate::batch::PuBatch::new(), Dataflow::WeightStationary);
-        assert!(out.is_empty());
+        assert!(cache.evaluate_probes(&[]).is_empty());
         assert_eq!(cache.batched_probes(), 0);
         assert_eq!(cache.batch_shard_locks(), 0);
     }
@@ -1082,13 +893,15 @@ mod tests {
                 ..conv()
             })
             .collect();
+        let dfs = [Dataflow::WeightStationary, Dataflow::OutputStationary];
+        let pu = PuConfig::new(16, 16);
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for l in &layers {
-                        for df in [Dataflow::WeightStationary, Dataflow::OutputStationary] {
-                            let got = cache.evaluate(l, &PuConfig::new(16, 16), df);
-                            assert_eq!(got, evaluate(l, &PuConfig::new(16, 16), df, &em));
+                        for df in dfs {
+                            let got = cache.evaluate(l, &pu, df);
+                            assert_eq!(got, evaluate(l, &pu, df, &em));
                         }
                     }
                 });
@@ -1096,5 +909,33 @@ mod tests {
         });
         assert_eq!(cache.len(), layers.len() * 2);
         assert_eq!(cache.hits() + cache.misses(), (layers.len() * 2 * 4) as u64);
+
+        // Batches from 4 threads over overlapping keys: thread t probes
+        // layers t..t+4 against two PUs, so neighbours share 12 of their
+        // 16 keys.
+        let batched = EvalCache::with_shards(em, 4);
+        let pus = [pu, PuConfig::new(8, 32)];
+        let probes: Vec<Vec<(LayerDesc, PuConfig, Dataflow)>> = (0..4)
+            .map(|t| {
+                layers[t..t + 4]
+                    .iter()
+                    .flat_map(|l| pus.iter().flat_map(move |pu| dfs.map(|df| (*l, *pu, df))))
+                    .collect()
+            })
+            .collect();
+        std::thread::scope(|scope| {
+            for batch in &probes {
+                let batched = &batched;
+                scope.spawn(move || {
+                    for (got, (l, pu, df)) in batched.evaluate_probes(batch).iter().zip(batch) {
+                        assert_eq!(*got, evaluate(l, pu, *df, &em));
+                    }
+                });
+            }
+        });
+        let total: usize = probes.iter().map(Vec::len).sum();
+        assert_eq!(batched.hits() + batched.misses(), total as u64);
+        assert_eq!(batched.batched_probes(), total as u64);
+        assert_eq!(batched.len(), 7 * pus.len() * dfs.len(), "distinct keys");
     }
 }

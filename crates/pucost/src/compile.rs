@@ -2,13 +2,17 @@
 //!
 //! [`evaluate`](crate::evaluate) re-derives every layer-only quantity —
 //! MAC count, per-group channel fits, weight element count, buffer
-//! minima, energy coefficients — on each call, even though the search
-//! loops evaluate one layer against hundreds of PU candidates.
-//! [`CompiledEval`] performs that derivation once per
-//! `(layer, energy model)` pair and leaves only the PU-dependent
-//! remainder as a compact straight-line program, so a batched sweep
-//! (see [`crate::batch`]) pays the layer analysis once instead of per
-//! candidate.
+//! minima, energy coefficients — on each call. [`CompiledEval`]
+//! performs that derivation once per `(layer, energy model)` pair and
+//! leaves only the PU-dependent remainder as a compact straight-line
+//! program, so a sweep of one layer over many PU candidates pays the
+//! layer analysis once instead of per candidate.
+//!
+//! No product path calls it: the cache's misses go through the reference
+//! evaluator, whose ~20 ns per evaluation is a small part of a cache
+//! probe. It is kept as the kernel-speed reference that `bench_dse`'s
+//! `eval_throughput` and the benchmark's `pucost.kernel.compiled_eval_ns`
+//! time against [`evaluate`](crate::evaluate).
 //!
 //! The kernels reproduce `evaluate`'s arithmetic operation for
 //! operation (same integer widths, same `f64` expression shapes), so a
@@ -112,10 +116,8 @@ impl CompiledEval {
     ///
     /// The layer derivations (`macs`, per-group fits, `weight_elems`,
     /// `min_act_buf_bytes`) are open-coded rather than delegated to the
-    /// `LayerDesc` methods: construction sits on the batched hot path
-    /// (once per layer batch) and the method calls are real calls in
-    /// debug builds. The expressions mirror the `LayerDesc` method bodies
-    /// term for term.
+    /// `LayerDesc` methods, which are real calls in debug builds. The
+    /// expressions mirror the `LayerDesc` method bodies term for term.
     pub fn new(layer: &LayerDesc, em: &EnergyModel) -> Self {
         let l = *layer;
         let k2 = l.kernel * l.kernel;
@@ -162,33 +164,6 @@ impl CompiledEval {
     /// The layer this program was compiled for.
     pub fn layer(&self) -> &LayerDesc {
         &self.layer
-    }
-
-    /// Compiled equivalent of [`evaluate`](crate::evaluate): bit-identical
-    /// result, layer-only work pre-paid.
-    pub fn evaluate(&self, pu: &PuConfig, df: Dataflow) -> PuEval {
-        self.eval_parts(
-            pu.rows,
-            pu.cols,
-            pu.act_buf_bytes,
-            pu.wgt_buf_bytes,
-            pu.freq_mhz,
-            df,
-        )
-    }
-
-    /// Compiled equivalent of [`best_dataflow`](crate::best_dataflow):
-    /// one fused WS+OS sweep sharing the activation-read and buffer
-    /// checks, selected with the same tie-break as
-    /// [`pick_dataflow`](crate::pick_dataflow).
-    pub fn best(&self, pu: &PuConfig) -> (Dataflow, PuEval) {
-        self.best_parts(
-            pu.rows,
-            pu.cols,
-            pu.act_buf_bytes,
-            pu.wgt_buf_bytes,
-            pu.freq_mhz,
-        )
     }
 
     /// WS tile-loop core: `(cycles, act_reads, wgt_reads, psum_moves)`.
@@ -326,44 +301,34 @@ impl CompiledEval {
         act_buf_bytes >= self.min_act_buf && wgt_buf_bytes >= wmin
     }
 
-    /// Kernel entry over raw PU columns (the SoA batch path and the cache
-    /// miss path feed this directly, skipping `PuConfig` reassembly).
+    /// Compiled equivalent of [`evaluate`](crate::evaluate): bit-identical
+    /// result, layer-only work pre-paid.
     ///
     /// Deliberately NOT `#[inline(always)]`: in unoptimized builds, one
     /// compiled copy with a small frame beats inlining this body (and its
     /// spilled locals) into every call site.
-    pub(crate) fn eval_parts(
-        &self,
-        r: usize,
-        c: usize,
-        act_buf_bytes: u64,
-        wgt_buf_bytes: u64,
-        freq_mhz: f64,
-        df: Dataflow,
-    ) -> PuEval {
+    pub fn evaluate(&self, pu: &PuConfig, df: Dataflow) -> PuEval {
+        let (r, c) = (pu.rows, pu.cols);
         let (cycles, act, wgt, psum) = match df {
             Dataflow::WeightStationary => self.ws_core(r, c),
             Dataflow::OutputStationary => self.os_core(r, c),
         };
         let num_pe = r * c;
-        let ok = self.buffers_ok(num_pe, act_buf_bytes, wgt_buf_bytes);
-        self.finish(df, cycles, act, wgt, psum, num_pe, ok, freq_mhz * 1e6)
+        let ok = self.buffers_ok(num_pe, pu.act_buf_bytes, pu.wgt_buf_bytes);
+        self.finish(df, cycles, act, wgt, psum, num_pe, ok, pu.freq_mhz * 1e6)
     }
 
-    /// Fused WS+OS kernel over raw PU columns: the activation reads, PE
-    /// count, buffer feasibility and frequency scaling are computed once
-    /// and shared by both dataflow legs, the winner is chosen through the
-    /// shared [`os_wins`] tie-break on normalized cycles and
+    /// Compiled equivalent of [`best_dataflow`](crate::best_dataflow):
+    /// one fused WS+OS sweep. The activation reads, PE count, buffer
+    /// feasibility and frequency scaling are computed once and shared by
+    /// both dataflow legs, the winner is chosen through the shared
+    /// `os_wins` tie-break (the rule behind
+    /// [`pick_dataflow`](crate::pick_dataflow)) on normalized cycles and
     /// `total_pj`-ordered energy sums, and only the winning [`PuEval`] is
-    /// materialized. Like `eval_parts`, deliberately a plain call.
-    pub(crate) fn best_parts(
-        &self,
-        r: usize,
-        c: usize,
-        act_buf_bytes: u64,
-        wgt_buf_bytes: u64,
-        freq_mhz: f64,
-    ) -> (Dataflow, PuEval) {
+    /// materialized. Like [`CompiledEval::evaluate`], deliberately a
+    /// plain call.
+    pub fn best(&self, pu: &PuConfig) -> (Dataflow, PuEval) {
+        let (r, c) = (pu.rows, pu.cols);
         let fill = w64(r + c);
         let r64 = w64(r);
         let wc = self.ws_cycles(r, c, r64, fill);
@@ -376,8 +341,8 @@ impl CompiledEval {
         // computed once and shared.
         let wa = self.act_reads(w64(c));
         let num_pe = r * c;
-        let ok = self.buffers_ok(num_pe, act_buf_bytes, wgt_buf_bytes);
-        let freq_hz = freq_mhz * 1e6;
+        let ok = self.buffers_ok(num_pe, pu.act_buf_bytes, pu.wgt_buf_bytes);
+        let freq_hz = pu.freq_mhz * 1e6;
         // Normalize cycles exactly as `finish` does before comparing.
         let wcn = if wc < 1 { 1 } else { wc };
         let ocn = if oc < 1 { 1 } else { oc };

@@ -126,8 +126,9 @@ pub fn evaluate(layer: &LayerDesc, pu: &PuConfig, df: Dataflow, em: &EnergyModel
 /// Selects between a WS and an OS evaluation of the same layer: lower
 /// cycle count wins, ties broken toward the lower on-chip energy. Shared
 /// by [`best_dataflow`], the memoized [`crate::EvalCache`] and the
-/// batched sweeps (`best_dataflow_batch`, the serving scheduler's
-/// stitched best-picks) so every path applies bit-identical selection.
+/// callers that pair batched WS and OS probes (the serving scheduler's
+/// stitched best-picks, `bench_dse`) so every path applies bit-identical
+/// selection.
 pub fn pick_dataflow(ws: PuEval, os: PuEval) -> (Dataflow, PuEval) {
     if os_wins(
         ws.cycles,
@@ -143,7 +144,7 @@ pub fn pick_dataflow(ws: PuEval, os: PuEval) -> (Dataflow, PuEval) {
 
 /// The tie-break predicate behind [`pick_dataflow`], over the already
 /// normalized cycle counts and total energies of the two candidates. The
-/// compiled fused kernel (`CompiledEval::best_parts`) calls this with the
+/// compiled fused kernel (`CompiledEval::best`) calls this with the
 /// same quantities before materializing only the winning evaluation, so
 /// both paths share one selection rule by construction.
 #[inline(always)]

@@ -17,6 +17,14 @@
 //! on-chip traffic from the dataflows' reuse factors; energy from
 //! per-access 28 nm constants.
 //!
+//! Around the evaluator sit [`EvalCache`], the sharded memo the search
+//! loops share (one probe path behind [`EvalCache::evaluate`],
+//! [`EvalCache::best_dataflow`] and the batch entry
+//! [`EvalCache::evaluate_probes`]; misses run [`evaluate`]), and
+//! [`CompiledEval`], a per-layer precompiled kernel that is bit-identical
+//! to [`evaluate`] and serves as the kernel-speed reference the
+//! benchmarks time.
+//!
 //! # Example
 //!
 //! ```
@@ -39,7 +47,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod batch;
 mod cache;
 mod compile;
 mod energy;
@@ -48,7 +55,6 @@ mod layer;
 mod pu;
 pub mod util;
 
-pub use batch::{best_dataflow_batch, evaluate_batch, PuBatch, PuEvalBatch};
 pub use cache::{CacheStats, EvalCache, EvalKey, SnapshotError};
 pub use compile::CompiledEval;
 pub use energy::{AreaModel, EnergyBreakdown, EnergyModel};

@@ -1,16 +1,16 @@
-//! Differential suite: the batched evaluation paths (free kernels and
-//! the memoized cache front) against the scalar reference, over seeded
-//! random layers (dense / grouped / depthwise / FC), random PU shapes
-//! (power-of-two and not), and batch sizes from 1 through 257.
+//! Differential suite: the compiled kernel ([`CompiledEval`]) and the
+//! cache's batch entry ([`EvalCache::evaluate_probes`]) against the
+//! scalar reference, over seeded random layers (dense / grouped /
+//! depthwise / FC), random PU shapes (power-of-two and not), and sweep
+//! sizes from 1 through 257.
 //!
-//! Everything here asserts *bit* identity — the batch layer is a pure
-//! performance transform and must never change a result, a dataflow
-//! pick, a cache counter, or the cache's contents.
+//! Everything here asserts *bit* identity: neither path may change a
+//! result, a dataflow pick, a cache counter, or the cache's contents.
 
 use faultsim::rng::SplitMix64;
 use pucost::{
-    best_dataflow, best_dataflow_batch, evaluate, evaluate_batch, Dataflow, EnergyModel, EvalCache,
-    LayerDesc, PuBatch, PuConfig,
+    best_dataflow, evaluate, pick_dataflow, CompiledEval, Dataflow, EnergyModel, EvalCache,
+    LayerDesc, PuConfig,
 };
 
 /// Draw helpers for the sweeps.
@@ -108,17 +108,19 @@ fn random_pu(rng: &mut SplitMix64) -> PuConfig {
     PuConfig::new(rows, cols).with_buffers(act, wgt).with_freq_mhz(freq)
 }
 
-fn random_batch(rng: &mut SplitMix64, n: usize) -> PuBatch {
-    let mut batch = PuBatch::with_capacity(n);
-    for _ in 0..n {
-        batch.push(&random_pu(rng));
-    }
-    batch
+fn random_batch(rng: &mut SplitMix64, n: usize) -> Vec<PuConfig> {
+    (0..n).map(|_| random_pu(rng)).collect()
 }
 
-/// Batch sizes for the sweeps: every boundary the SoA walk and the
-/// shard bucketing could mishandle (1, shard-count multiples, powers of
-/// two and their neighbours, 257).
+const DATAFLOWS: [Dataflow; 2] = [Dataflow::WeightStationary, Dataflow::OutputStationary];
+
+/// `layer` against every PU in `pus` under `df`, in order.
+fn sweep(layer: &LayerDesc, pus: &[PuConfig], df: Dataflow) -> Vec<(LayerDesc, PuConfig, Dataflow)> {
+    pus.iter().map(|pu| (*layer, *pu, df)).collect()
+}
+
+/// Sweep sizes: 1, shard-count multiples, powers of two and their
+/// neighbours, 257.
 const SIZES: [usize; 12] = [1, 2, 3, 7, 15, 16, 17, 64, 96, 128, 256, 257];
 
 #[test]
@@ -127,14 +129,12 @@ fn kernel_batch_matches_scalar_across_sizes() {
     let mut rng = SplitMix64::new(0xdeadbeef);
     for &n in &SIZES {
         let layer = random_layer(&mut rng);
-        let batch = random_batch(&mut rng, n);
-        for df in [Dataflow::WeightStationary, Dataflow::OutputStationary] {
-            let out = evaluate_batch(&layer, &batch, df, &em);
-            assert_eq!(out.len(), n);
-            for i in 0..n {
+        let compiled = CompiledEval::new(&layer, &em);
+        for (i, pu) in random_batch(&mut rng, n).iter().enumerate() {
+            for df in DATAFLOWS {
                 assert_eq!(
-                    out.evals()[i],
-                    evaluate(&layer, &batch.pu(i), df, &em),
+                    compiled.evaluate(pu, df),
+                    evaluate(&layer, pu, df, &em),
                     "size {n} item {i} {df:?}"
                 );
             }
@@ -148,28 +148,23 @@ fn kernel_fused_best_matches_scalar_pick_across_sizes() {
     let mut rng = SplitMix64::new(0x5eed);
     for &n in &SIZES {
         let layer = random_layer(&mut rng);
-        let batch = random_batch(&mut rng, n);
-        let out = best_dataflow_batch(&layer, &batch, &em);
-        for i in 0..n {
-            let (df, eval) = best_dataflow(&layer, &batch.pu(i), &em);
-            assert_eq!(out.evals()[i], eval, "size {n} item {i}");
-            assert_eq!(out.evals()[i].dataflow, df, "size {n} item {i}");
+        let compiled = CompiledEval::new(&layer, &em);
+        for (i, pu) in random_batch(&mut rng, n).iter().enumerate() {
+            assert_eq!(compiled.best(pu), best_dataflow(&layer, pu, &em), "size {n} item {i}");
         }
     }
 }
 
 #[test]
 fn kernel_batch_matches_scalar_every_size_1_to_64() {
-    // Dense sweep over the small sizes, where off-by-one walk bugs live.
+    // Dense sweep over the small sizes.
     let em = EnergyModel::tsmc28();
     let mut rng = SplitMix64::new(42);
     let layer = random_layer(&mut rng);
+    let compiled = CompiledEval::new(&layer, &em);
     for n in 1..=64usize {
-        let batch = random_batch(&mut rng, n);
-        let out = best_dataflow_batch(&layer, &batch, &em);
-        for i in 0..n {
-            let (_, eval) = best_dataflow(&layer, &batch.pu(i), &em);
-            assert_eq!(out.evals()[i], eval, "size {n} item {i}");
+        for (i, pu) in random_batch(&mut rng, n).iter().enumerate() {
+            assert_eq!(compiled.best(pu).1, best_dataflow(&layer, pu, &em).1, "size {n} item {i}");
         }
     }
 }
@@ -179,30 +174,27 @@ fn cache_batch_matches_scalar_cache_and_counters() {
     let mut rng = SplitMix64::new(7);
     for &n in &SIZES {
         let layer = random_layer(&mut rng);
-        let batch = random_batch(&mut rng, n);
+        let pus = random_batch(&mut rng, n);
+        // WS then OS per candidate, as a best-dataflow pick probes them.
+        let probes: Vec<_> =
+            pus.iter().flat_map(|pu| DATAFLOWS.map(|df| (layer, *pu, df))).collect();
         let scalar = EvalCache::default();
         let batched = EvalCache::default();
-        let got = batched.best_dataflow_batch(&layer, &batch);
-        for i in 0..n {
-            let (df, eval) = scalar.best_dataflow(&layer, &batch.pu(i));
-            assert_eq!(got.evals()[i], eval, "size {n} item {i}");
-            assert_eq!(got.evals()[i].dataflow, df, "size {n} item {i}");
+        let got = batched.evaluate_probes(&probes);
+        for (i, (pair, pu)) in got.chunks_exact(2).zip(&pus).enumerate() {
+            let picked = pick_dataflow(pair[0], pair[1]);
+            assert_eq!(picked, scalar.best_dataflow(&layer, pu), "size {n} item {i}");
         }
         // Same totals as the scalar sequence (duplicate PUs in the batch
         // miss once then hit, exactly like repeated scalar calls).
         assert_eq!(batched.hits(), scalar.hits(), "size {n}");
         assert_eq!(batched.misses(), scalar.misses(), "size {n}");
-        // Same cache contents, proving batch inserts land in the same
-        // shards the scalar path would probe.
-        let mut a = scalar.export_lines();
-        let mut b = batched.export_lines();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "size {n}");
+        // Same cache contents: every key lands in the shard the scalar
+        // path would probe.
+        assert_eq!(batched.export_lines(), scalar.export_lines(), "size {n}");
         // A second identical probe is all hits and computes nothing new.
         let misses_before = batched.misses();
-        let again = batched.best_dataflow_batch(&layer, &batch);
-        assert_eq!(again.evals(), got.evals(), "size {n} second pass");
+        assert_eq!(batched.evaluate_probes(&probes), got, "size {n} second pass");
         assert_eq!(batched.misses(), misses_before, "size {n} second pass missed");
     }
 }
@@ -211,21 +203,22 @@ fn cache_batch_matches_scalar_cache_and_counters() {
 fn cache_batch_serves_preseeded_and_warm_entries() {
     let mut rng = SplitMix64::new(11);
     let layer = random_layer(&mut rng);
-    let batch = random_batch(&mut rng, 64);
-    // Pre-seed half the keys through the scalar path; the batch probe
+    let pus = random_batch(&mut rng, 64);
+    let probes = sweep(&layer, &pus, Dataflow::WeightStationary);
+    // Pre-seed half the keys through the scalar entry; the batch probe
     // must hit them (same shard assignment, same key identity).
     let cache = EvalCache::default();
-    for i in 0..32 {
-        cache.evaluate(&layer, &batch.pu(i), Dataflow::WeightStationary);
+    for pu in &pus[..32] {
+        cache.evaluate(&layer, pu, Dataflow::WeightStationary);
     }
     let seeded_misses = cache.misses();
-    let out = cache.evaluate_batch(&layer, &batch, Dataflow::WeightStationary);
+    let out = cache.evaluate_probes(&probes);
     assert_eq!(cache.hits(), 32);
     assert_eq!(cache.misses(), seeded_misses + 32);
-    for i in 0..64 {
+    for (i, pu) in pus.iter().enumerate() {
         assert_eq!(
-            out.evals()[i],
-            evaluate(&layer, &batch.pu(i), Dataflow::WeightStationary, cache.energy_model()),
+            out[i],
+            evaluate(&layer, pu, Dataflow::WeightStationary, cache.energy_model()),
             "item {i}"
         );
     }
@@ -235,8 +228,7 @@ fn cache_batch_serves_preseeded_and_warm_entries() {
     for line in cache.export_lines() {
         warm.import_line(&line).expect("snapshot line round-trips");
     }
-    let again = warm.evaluate_batch(&layer, &batch, Dataflow::WeightStationary);
-    assert_eq!(again.evals(), out.evals());
+    assert_eq!(warm.evaluate_probes(&probes), out);
     assert_eq!(warm.hits(), 64);
     assert_eq!(warm.warm_hits(), 64);
     assert_eq!(warm.misses(), 0);
@@ -250,18 +242,13 @@ fn cache_batch_duplicates_hit_like_scalar_repeats() {
     let other = random_pu(&mut rng);
     // Batch = [pu, pu, other, pu]: the scalar sequence misses twice
     // (pu, other) and hits twice (the repeated pu probes).
-    let mut batch = PuBatch::new();
-    for p in [&pu, &pu, &other, &pu] {
-        batch.push(p);
-    }
+    let pus = [pu, pu, other, pu];
     let cache = EvalCache::default();
-    let out = cache.evaluate_batch(&layer, &batch, Dataflow::OutputStationary);
+    let out = cache.evaluate_probes(&sweep(&layer, &pus, Dataflow::OutputStationary));
     let scalar = EvalCache::default();
-    let mut want = Vec::new();
-    for i in 0..batch.len() {
-        want.push(scalar.evaluate(&layer, &batch.pu(i), Dataflow::OutputStationary));
-    }
-    assert_eq!(out.evals(), &want[..]);
+    let want: Vec<_> =
+        pus.iter().map(|p| scalar.evaluate(&layer, p, Dataflow::OutputStationary)).collect();
+    assert_eq!(out, want);
     assert_eq!(cache.hits(), scalar.hits());
     assert_eq!(cache.misses(), scalar.misses());
     assert_eq!(cache.misses(), 2);
@@ -270,27 +257,27 @@ fn cache_batch_duplicates_hit_like_scalar_repeats() {
 }
 
 #[test]
-fn cache_layer_and_probe_batches_match_scalar() {
+fn cache_layer_and_mixed_probes_match_scalar() {
     let mut rng = SplitMix64::new(99);
-    // evaluate_layers: many layers against one PU (the segment-scoring
-    // shape) — exercises the per-layer hasher-prefix reset every key.
+    // Many layers against one PU (the segment-scoring shape).
     let layers: Vec<LayerDesc> = (0..48).map(|_| random_layer(&mut rng)).collect();
     let pu = random_pu(&mut rng);
+    let probes: Vec<_> = layers.iter().map(|l| (*l, pu, Dataflow::WeightStationary)).collect();
     let cache = EvalCache::default();
     let scalar = EvalCache::default();
-    let got = cache.evaluate_layers(&layers, &pu, Dataflow::WeightStationary);
+    let got = cache.evaluate_probes(&probes);
     for (i, l) in layers.iter().enumerate() {
         assert_eq!(got[i], scalar.evaluate(l, &pu, Dataflow::WeightStationary), "layer {i}");
     }
     assert_eq!(cache.misses(), scalar.misses());
     assert_eq!(cache.hits(), scalar.hits());
-    // evaluate_probes: heterogeneous (layer, PU, dataflow) triples with
-    // alternating layers and interleaved duplicates.
+    // Heterogeneous (layer, PU, dataflow) triples with alternating
+    // layers and interleaved duplicates.
     let mut probes = Vec::new();
     for i in 0..32 {
         let l = layers[i % 5];
         let p = random_pu(&mut rng);
-        let df = if i % 2 == 0 { Dataflow::WeightStationary } else { Dataflow::OutputStationary };
+        let df = DATAFLOWS[i % 2];
         probes.push((l, p, df));
         if i % 7 == 0 {
             probes.push((l, p, df));
@@ -305,4 +292,5 @@ fn cache_layer_and_probe_batches_match_scalar() {
     assert_eq!(cache.misses(), scalar.misses());
     assert_eq!(cache.hits(), scalar.hits());
     assert_eq!(cache.warm_hits(), scalar.warm_hits());
+    assert_eq!(cache.export_lines(), scalar.export_lines());
 }

@@ -6,7 +6,7 @@
 //! while a plan is armed, and hold `faultsim::exclusive()` against each
 //! other.
 
-use pucost::{evaluate, Dataflow, EnergyModel, EvalCache, LayerDesc, PuBatch, PuConfig};
+use pucost::{evaluate, Dataflow, EnergyModel, EvalCache, LayerDesc, PuConfig};
 
 fn conv() -> LayerDesc {
     LayerDesc {
@@ -51,20 +51,18 @@ fn injected_poison_in_batch_insert_is_recovered() {
     let em = EnergyModel::tsmc28();
     let cache = EvalCache::with_shards(em, 1);
     let pus = vec![PuConfig::new(16, 16), PuConfig::new(8, 8)];
-    let batch = PuBatch::from_pus(&pus);
-    let out = cache.evaluate_batch(&conv(), &batch, Dataflow::WeightStationary);
+    let probes: Vec<_> =
+        pus.iter().map(|pu| (conv(), *pu, Dataflow::WeightStationary)).collect();
+    let out = cache.evaluate_probes(&probes);
     assert_eq!(faultsim::injected(), vec!["cache.poison@1"]);
     faultsim::disarm();
     for (i, pu) in pus.iter().enumerate() {
-        assert_eq!(
-            out.evals()[i],
-            evaluate(&conv(), pu, Dataflow::WeightStationary, &em)
-        );
+        assert_eq!(out[i], evaluate(&conv(), pu, Dataflow::WeightStationary, &em));
     }
     // Entries inserted through the poisoned (recovered) lock serve
     // as hits afterwards.
     assert_eq!(cache.len(), 2);
-    let again = cache.evaluate_batch(&conv(), &batch, Dataflow::WeightStationary);
-    assert_eq!(again.evals()[0], out.evals()[0]);
+    let again = cache.evaluate_probes(&probes);
+    assert_eq!(again, out);
     assert_eq!(cache.misses(), 2);
 }

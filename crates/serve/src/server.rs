@@ -145,7 +145,7 @@ struct Metrics {
 ///
 /// Values are microseconds. Each record is one short uncontended mutex
 /// acquisition; when `OBS_LEVEL` is on the value is mirrored into the
-/// `obs` collector ([`obs::record_hdr`]) so end-of-run reports show the
+/// `obs` collector ([`obs::record`]) so end-of-run reports show the
 /// same quantiles. Timing here shapes only telemetry output, never any
 /// search result (the `obs_equiv` invariant).
 struct Telemetry {
@@ -170,13 +170,13 @@ impl Telemetry {
     fn stage(&self, name: &'static str, elapsed: Duration) {
         let us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
         lock(&self.stages).entry(name).or_default().record(us);
-        obs::record_hdr(name, us);
+        obs::record(name, us);
     }
 
     fn verb(&self, name: &'static str, elapsed: Duration) {
         let us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
         lock(&self.verbs).entry(name).or_default().record(us);
-        obs::record_hdr(name, us);
+        obs::record(name, us);
     }
 }
 
@@ -736,9 +736,8 @@ fn execute_batch(inner: &Arc<Inner>, batch: Vec<Job>) {
         return;
     }
     // One pool fan-out for the whole eval run, chunked so each worker
-    // resolves its probes through one batched cache pass (one shard-lock
-    // sweep per chunk instead of one lock per probe); the shared cache
-    // makes repeats (within and across batches) hits.
+    // resolves its probes through one `evaluate_probes` call; the shared
+    // cache makes repeats (within and across batches) hits.
     let cache = &inner.cache;
     let chunk_len = eval_items.len().div_ceil(inner.pool.threads().max(1)).max(1);
     let chunks: Vec<&[(LayerDesc, PuConfig, DataflowSel)]> = eval_items.chunks(chunk_len).collect();

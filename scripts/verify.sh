@@ -111,9 +111,9 @@ ratio = tp.get("batch_vs_scalar", 0)
 if ratio < 1.0:
     sys.exit(f"verify: batched kernel slower than scalar ({ratio}x)")
 cache_ratio = tp.get("cache_batch_vs_scalar", 0)
-# The cache paths are SipHash-dominated, so cold batch probes sit at
-# parity with scalar; anything below 0.9 means the batch plumbing itself
-# regressed.
+# `evaluate_probes` runs the scalar entry's probe once per key, so cold
+# batch probes sit at parity with scalar; anything below 0.9 means the
+# batch entry added per-probe work of its own.
 if cache_ratio < 0.9:
     sys.exit(f"verify: batched cache path regressed vs scalar ({cache_ratio}x)")
 curve = doc.get("speedup_curve") or []
