@@ -26,6 +26,11 @@
 //! bit-identical for any thread count; `threads = 1` *is* the serial
 //! reference path.
 //!
+//! The optimizer-backed methods (MIP-Random, MIP-Baye, MIP-Anneal,
+//! Baye-Baye) run one optimizer over one space, shape and hardware
+//! together, for exactly [`CodesignBudgets::hw_iters`] evaluations, so a
+//! model-based optimizer learns from the whole budget.
+//!
 //! # Anytime execution
 //!
 //! Every method runs through [`run_codesign`] / [`run_codesign_with`],
@@ -33,14 +38,15 @@
 //! supports cooperative deadlines ([`RunStatus::Partial`] instead of lost
 //! work), periodic [`Checkpoint`](crate::Checkpoint)s of kind `codesign`,
 //! and `--resume`, all on the generation loop the engine sweep shares.
-//! Optimizer state is persisted as a per-unit [`bayesopt::Transcript`]
-//! and rebuilt by *replay* — the fresh optimizer re-proposes every
-//! recorded generation and re-observes the recorded values, which
-//! restores its RNG stream and history bit-exactly (divergence, or
-//! transcripts that disagree with the checkpoint's `gens_done`, is a
-//! typed checkpoint error, not silence). An interrupted-then-resumed
-//! search therefore produces the same [`DesignPoint`] sequence as an
-//! uninterrupted one, which `tests/resume_equiv.rs` pins down.
+//! Optimizer state is persisted as one [`bayesopt::Transcript`] and
+//! rebuilt by *replay* — the fresh optimizer re-proposes every recorded
+//! generation and re-observes the recorded values, which restores its
+//! RNG stream and history bit-exactly (divergence, a transcript that
+//! disagrees with the checkpoint's `gens_done`, or an older layout's
+//! per-shape `unit.N` sections, is a typed checkpoint error, not
+//! silence). An interrupted-then-resumed search therefore produces the
+//! same [`DesignPoint`] sequence as an uninterrupted one, which
+//! `tests/resume_equiv.rs` pins down.
 
 use crate::allocate::{allocate_with, manual_design_with};
 use crate::dse::checkpoint::{f64_from_hex, f64_to_hex, CheckpointError};
@@ -130,7 +136,8 @@ impl std::fmt::Display for Method {
 /// Iteration budgets for the search-based methods.
 #[derive(Debug, Clone, Copy)]
 pub struct CodesignBudgets {
-    /// Hardware-search iterations (the paper uses 500).
+    /// Hardware-search evaluations: exactly this many candidates per
+    /// optimizer-backed search (the paper uses 500).
     pub hw_iters: usize,
     /// Segmentation-search iterations (the paper uses 2000).
     pub seg_iters: usize,
@@ -232,20 +239,15 @@ fn point(
     })
 }
 
-/// Hardware search space for the random/Bayesian hardware methods: one
-/// log2-PE dimension per PU plus one buffer-multiplier dimension.
-fn hw_space(n_pus: usize, budget: &HwBudget) -> SearchSpace {
+/// The one search space of an optimizer-backed method: the shape index,
+/// one log2-PE dimension per PU of the widest shape (a candidate reads
+/// the first `N`), and the buffer multiplier.
+fn search_space(shapes: usize, widest: usize, budget: &HwBudget) -> SearchSpace {
     let max_log = (budget.pes.max(2) as f64).log2().floor() as usize + 1;
-    let mut dims = vec![max_log; n_pus];
+    let mut dims = vec![shapes];
+    dims.resize(1 + widest, max_log);
     dims.push(3); // buffer multiplier 1 / 2 / 4
     SearchSpace::new(dims)
-}
-
-fn decode_hw(pt: &[usize]) -> (Vec<usize>, u64) {
-    let n = pt.len() - 1;
-    let pes: Vec<usize> = pt[..n].iter().map(|&k| 1usize << k).collect();
-    let mult = 1u64 << pt[n];
-    (pes, mult)
 }
 
 /// Best feasible latency among the points collected so far (`prev` when
@@ -275,14 +277,14 @@ struct Ctx<'a> {
 #[derive(Default)]
 struct SearchState {
     pts: Vec<DesignPoint>,
-    /// One optimizer transcript per search unit (empty for the chunked
-    /// methods, which have no optimizer).
-    transcripts: Vec<Transcript>,
+    /// The optimizer's ask/tell history (empty for the chunked methods,
+    /// which have no optimizer).
+    transcript: Transcript,
 }
 
-/// One independent optimizer run: a `(N, S)` shape with (for the `MIP-*`
-/// methods) its precomputed exact schedule.
-struct Unit {
+/// One value of the shape dimension: a `(N, S)` shape with (for the
+/// `MIP-*` methods) its precomputed exact schedule.
+struct ShapeChoice {
     shape: (usize, usize),
     schedule: Option<SegmentSchedule>,
 }
@@ -317,17 +319,15 @@ fn parse_point_line(line: &str, method: &'static str) -> Result<DesignPoint, Che
     })
 }
 
-/// A search state's checkpoint sections: its points, then the transcript
-/// of every unit that has run.
+/// A search state's checkpoint sections: its points, then the
+/// optimizer's transcript once it has one.
 fn sections(st: &SearchState) -> Sections {
     let mut out = vec![(
         "points".to_string(),
         st.pts.iter().map(point_line).collect(),
     )];
-    for (u, t) in st.transcripts.iter().enumerate() {
-        if !t.is_empty() {
-            out.push((format!("unit.{u}"), t.to_lines()));
-        }
+    if !st.transcript.is_empty() {
+        out.push(("transcript".to_string(), st.transcript.to_lines()));
     }
     out
 }
@@ -345,46 +345,34 @@ impl Ctx<'_> {
                 ("hw_iters", self.budgets.hw_iters.to_string()),
                 ("seg_iters", self.budgets.seg_iters.to_string()),
             ],
-            self.cache,
+            self.cache.model_fingerprint(),
             self.ctl,
             planned,
         )
     }
 
     /// The search state and completed generation count to start from:
-    /// restored from the ctl's checkpoint, or fresh. `units` is the
-    /// number of optimizer units (0 for the chunked methods).
-    fn resume(&self, sweep: &Sweep<'_>, units: usize) -> Result<(SearchState, u64), AutoSegError> {
+    /// restored from the ctl's checkpoint, or fresh.
+    fn resume(&self, sweep: &Sweep<'_>) -> Result<(SearchState, u64), AutoSegError> {
         let mut st = SearchState::default();
-        let mut gens = 0;
-        if let Some((ck, done)) = sweep.resume()? {
-            for line in ck.section("points") {
-                st.pts.push(parse_point_line(line, self.method.label())?);
+        let Some((ck, gens)) = sweep.resume()? else {
+            return Ok((st, 0));
+        };
+        if !ck.section("unit.0").is_empty() {
+            return Err(CheckpointError::Corrupt {
+                path: "unit.0".into(),
+                reason: "an older layout's per-shape optimizer sections".into(),
             }
-            // Units run sequentially, so non-empty transcripts form a prefix.
-            for u in 0.. {
-                let lines = ck.section(&format!("unit.{u}"));
-                if lines.is_empty() {
-                    break;
-                }
-                if u == units {
-                    return Err(CheckpointError::Corrupt {
-                        path: "transcripts".into(),
-                        reason: format!("more unit transcripts than the {units} units"),
-                    }
-                    .into());
-                }
-                let t = Transcript::from_lines(lines.iter().map(String::as_str)).map_err(|e| {
-                    CheckpointError::Corrupt {
-                        path: format!("unit.{u}"),
-                        reason: e.to_string(),
-                    }
-                })?;
-                st.transcripts.push(t);
-            }
-            gens = done;
+            .into());
         }
-        st.transcripts.resize_with(units, Transcript::new);
+        for line in ck.section("points") {
+            st.pts.push(parse_point_line(line, self.method.label())?);
+        }
+        st.transcript = Transcript::from_lines(ck.section("transcript").iter().map(String::as_str))
+            .map_err(|e| CheckpointError::Corrupt {
+                path: "transcript".into(),
+                reason: e.to_string(),
+            })?;
         Ok((st, gens))
     }
 }
@@ -400,133 +388,107 @@ fn make_opt(method: Method, space: SearchSpace, seed: u64) -> Box<dyn Optimizer>
     }
 }
 
-/// Evaluates one hardware sample for a unit: decode, build the design
-/// (exact schedule for `MIP-*`, inner Bayesian segmentation for
-/// Baye-Baye, seeded by the *global* per-unit candidate index `k`), and
-/// score it.
-fn eval_candidate(ctx: &Ctx<'_>, unit: &Unit, k: usize, sample: &[usize]) -> Option<DesignPoint> {
-    let (pes, mult) = decode_hw(sample);
-    match &unit.schedule {
-        Some(schedule) => {
-            let design = manual_design_with(ctx.workload, schedule, ctx.budget, &pes, mult, ctx.cache);
-            point(
-                ctx.workload,
-                &design,
-                ctx.budget,
-                ctx.method.label(),
-                unit.shape,
-                ctx.cache,
-            )
-        }
+/// Evaluates candidate `k` of the search: decode its shape and hardware,
+/// build the design (exact schedule for `MIP-*`, inner Bayesian
+/// segmentation seeded by `k` for Baye-Baye), and score it.
+fn eval_candidate(
+    ctx: &Ctx<'_>,
+    choices: &[ShapeChoice],
+    k: usize,
+    sample: &[usize],
+) -> Option<DesignPoint> {
+    let choice = &choices[sample[0]];
+    let (n, s) = choice.shape;
+    let pes: Vec<usize> = sample[1..=n].iter().map(|&e| 1usize << e).collect();
+    let mult = 1u64 << sample[sample.len() - 1];
+    let searched;
+    let schedule = match &choice.schedule {
+        Some(schedule) => schedule,
         None => {
-            let (n, s) = unit.shape;
             let seg = BayesSegmenter::new(split_seed(ctx.budgets.seed, k as u64), ctx.inner);
-            match seg.segment(ctx.workload, n, s) {
-                Ok(schedule) => {
-                    let design =
-                        manual_design_with(ctx.workload, &schedule, ctx.budget, &pes, mult, ctx.cache);
-                    point(
-                        ctx.workload,
-                        &design,
-                        ctx.budget,
-                        ctx.method.label(),
-                        unit.shape,
-                        ctx.cache,
-                    )
-                }
-                Err(_) => None,
-            }
+            searched = seg.segment(ctx.workload, n, s).ok()?;
+            &searched
         }
-    }
+    };
+    let design = manual_design_with(ctx.workload, schedule, ctx.budget, &pes, mult, ctx.cache);
+    point(
+        ctx.workload,
+        &design,
+        ctx.budget,
+        ctx.method.label(),
+        choice.shape,
+        ctx.cache,
+    )
 }
 
 /// Driver for the optimizer-backed methods (MIP-Random / MIP-Baye /
-/// MIP-Anneal / Baye-Baye): one optimizer per unit, generation-batched
-/// ask → parallel evaluate → ordered tell, transcripts recorded for
-/// checkpointing, resume via replay. Every unit runs the same number of
-/// generations, so generation `g` belongs to unit `g / gens_per_unit`.
+/// MIP-Anneal / Baye-Baye): one optimizer over the shapes that have a
+/// schedule (every shape for Baye-Baye), generation-batched ask →
+/// parallel evaluate → ordered tell, `hw_iters` evaluations in all. The
+/// transcript is recorded for checkpointing and replayed on resume.
 fn run_optimized(
     ctx: &Ctx<'_>,
     all_shapes: &[(usize, usize)],
 ) -> Result<CodesignRun, AutoSegError> {
     let seg = ChainDpSegmenter::new();
     let bi_loop = ctx.method == Method::BayeBaye;
-    let units: Vec<Unit> = all_shapes
+    let choices: Vec<ShapeChoice> = all_shapes
         .iter()
-        .filter_map(|&(n, s)| {
-            if bi_loop {
-                Some(Unit {
-                    shape: (n, s),
-                    schedule: None,
-                })
+        .filter_map(|&shape| {
+            let schedule = if bi_loop {
+                None
             } else {
-                seg.segment(ctx.workload, n, s).ok().map(|schedule| Unit {
-                    shape: (n, s),
-                    schedule: Some(schedule),
-                })
-            }
+                Some(seg.segment(ctx.workload, shape.0, shape.1).ok()?)
+            };
+            Some(ShapeChoice { shape, schedule })
         })
         .collect();
-    let per_unit = if bi_loop {
-        (ctx.budgets.hw_iters / all_shapes.len()).max(2)
-    } else {
-        (ctx.budgets.hw_iters / all_shapes.len()).max(4)
+    let Some(widest) = choices.iter().map(|c| c.shape.0).max() else {
+        // No shape has an exact schedule: there is nothing to search.
+        return Ok(CodesignRun {
+            points: Vec::new(),
+            status: RunStatus::Complete,
+        });
     };
-    let gens_per_unit = per_unit.div_ceil(GENERATION) as u64;
-    let sweep = ctx.sweep(units.len() as u64 * gens_per_unit);
-    let (mut st, from) = ctx.resume(&sweep, units.len())?;
-    // The transcripts must hold exactly the generations `gens_done`
-    // counts, each full but a unit's last: the loop below continues from
-    // `gens_done`, the optimizers from their transcripts.
-    for (u, t) in st.transcripts.iter().enumerate() {
-        let want = from
-            .saturating_sub(u as u64 * gens_per_unit)
-            .min(gens_per_unit);
-        if t.gens() as u64 != want || t.evals() != per_unit.min(want as usize * GENERATION) {
-            return Err(CheckpointError::Corrupt {
-                path: format!("unit.{u}"),
-                reason: format!(
-                    "{} generations of {} evaluations recorded, gens_done {from} implies {want}",
-                    t.gens(),
-                    t.evals()
-                ),
-            }
-            .into());
+    let iters = ctx.budgets.hw_iters;
+    let sweep = ctx.sweep(iters.div_ceil(GENERATION) as u64);
+    let (mut st, from) = ctx.resume(&sweep)?;
+    // The transcript must hold exactly the generations `gens_done`
+    // counts, each full but the search's last: the loop below continues
+    // from `gens_done`, the optimizer from its transcript.
+    let want = iters.min(from as usize * GENERATION);
+    if st.transcript.gens() as u64 != from || st.transcript.evals() != want {
+        return Err(CheckpointError::Corrupt {
+            path: "transcript".into(),
+            reason: format!(
+                "{} generations of {} evaluations recorded, gens_done {from} implies {want}",
+                st.transcript.gens(),
+                st.transcript.evals()
+            ),
         }
+        .into());
     }
-
-    // The running unit's optimizer, built at the unit's first generation
-    // (or rebuilt by replaying its transcript when a resume lands mid-unit).
-    let mut current: Option<(usize, Box<dyn Optimizer>)> = None;
+    let mut opt = make_opt(
+        ctx.method,
+        search_space(choices.len(), widest, ctx.budget),
+        ctx.budgets.seed,
+    );
+    st.transcript
+        .replay(opt.as_mut())
+        .map_err(|e| CheckpointError::Corrupt {
+            path: "transcript".into(),
+            reason: e.to_string(),
+        })?;
     let status = sweep.run(
         &mut st,
         from,
         |st, g| {
-            let u = (g / gens_per_unit) as usize;
-            let unit = &units[u];
-            let mut opt = match current.take() {
-                Some((cu, opt)) if cu == u => opt,
-                _ => {
-                    let mut opt = make_opt(
-                        ctx.method,
-                        hw_space(unit.shape.0, ctx.budget),
-                        ctx.budgets.seed,
-                    );
-                    st.transcripts[u].replay(opt.as_mut()).map_err(|e| {
-                        CheckpointError::Corrupt {
-                            path: format!("unit.{u}"),
-                            reason: e.to_string(),
-                        }
-                    })?;
-                    opt
-                }
-            };
-            let done = (g % gens_per_unit) as usize * GENERATION;
-            let k = GENERATION.min(per_unit - done);
+            let done = g as usize * GENERATION;
+            let k = GENERATION.min(iters - done);
             let samples = opt.suggest_batch(k);
-            let evals = ctx
-                .pool
-                .par_map(&samples, |i, sample| eval_candidate(ctx, unit, done + i, sample));
+            let evals = ctx.pool.par_map(&samples, |i, sample| {
+                eval_candidate(ctx, &choices, done + i, sample)
+            });
             let mut batch = Vec::with_capacity(k);
             for (sample, p) in samples.into_iter().zip(evals) {
                 let value = match p {
@@ -540,8 +502,7 @@ fn run_optimized(
                 batch.push((sample, value));
             }
             opt.observe_batch(batch.clone());
-            st.transcripts[u].push_gen(batch);
-            current = Some((u, opt));
+            st.transcript.push_gen(batch);
             // Best-so-far per generation: the convergence curve of Fig 18.
             if obs::enabled() {
                 obs::event(
@@ -574,7 +535,7 @@ fn run_chunked(ctx: &Ctx<'_>, all_shapes: &[(usize, usize)]) -> Result<CodesignR
     let per_shape = (ctx.budgets.seg_iters / all_shapes.len().max(1)).max(8);
     let chunks: Vec<&[(usize, usize)]> = all_shapes.chunks(GENERATION).collect();
     let sweep = ctx.sweep(chunks.len() as u64);
-    let (mut st, from) = ctx.resume(&sweep, 0)?;
+    let (mut st, from) = ctx.resume(&sweep)?;
     let status = sweep.run(
         &mut st,
         from,
@@ -788,6 +749,23 @@ mod tests {
         let h = max_e(&points(&model, &budget, &b, Method::MipHeuristic).unwrap());
         let r = max_e(&points(&model, &budget, &b, Method::MipRandom).unwrap());
         assert!(h <= r, "heuristic max energy {h} vs random {r}");
+    }
+
+    #[test]
+    fn mip_baye_points_differ_from_mip_random() {
+        // Fig. 18's MobileNetV1 / Eyeriss cell: past TPE's warm-up, which
+        // is random search's own stream, MIP-Baye models.
+        let b = CodesignBudgets {
+            hw_iters: 200,
+            seg_iters: 400,
+            seed: 7,
+            threads: 2,
+        };
+        let latencies = |m| -> Vec<f64> {
+            let pts = points(&zoo::mobilenet_v1(), &HwBudget::eyeriss(), &b, m).unwrap();
+            pts.iter().map(|p| p.latency_s).collect()
+        };
+        assert_ne!(latencies(Method::MipRandom), latencies(Method::MipBaye));
     }
 
     #[test]

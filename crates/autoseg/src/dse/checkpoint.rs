@@ -21,10 +21,10 @@
 //!   the live run and fails with a typed [`CheckpointError::Mismatch`] on
 //!   drift; a `gens_done` above the plan, or sections that do not hold
 //!   exactly `gens_done` generations, are [`CheckpointError::Corrupt`].
-//! * Sections hold the actual state: the engine's per-shape results or
-//!   the co-design points and one optimizer transcript per search unit
-//!   ([`bayesopt::Transcript`] lines), then the shared
-//!   [`pucost::EvalCache`] contents in a last `cache` section.
+//! * Sections hold the actual state: the engine's per-shape results, or
+//!   the co-design points and the search's one optimizer transcript
+//!   ([`bayesopt::Transcript`] lines). No cost-cache contents are saved:
+//!   evaluation is deterministic, so a resumed search recomputes them.
 //! * Floats are stored as IEEE-754 bit patterns ([`f64_to_hex`]), never
 //!   decimal, so a round trip is bit-exact.
 //! * The `end` checksum covers every preceding byte. A torn write — a
@@ -381,7 +381,7 @@ mod tests {
             "points",
             vec!["pt 3ff0000000000000 4000000000000000 2 3".into()],
         );
-        ck.push_section("unit.0", vec!["gen 2".into(), "ob 0 1 2".into()]);
+        ck.push_section("transcript", vec!["gen 2".into(), "ob 0 1 2".into()]);
         ck.push_section("empty", Vec::new());
         ck
     }
@@ -394,7 +394,7 @@ mod tests {
         assert_eq!(back.kind(), "codesign");
         assert_eq!(back.meta("seed"), Some("7"));
         assert_eq!(back.meta("note"), Some("spaces are fine in values"));
-        assert_eq!(back.section("unit.0").len(), 2);
+        assert_eq!(back.section("transcript").len(), 2);
         assert!(back.section("missing").is_empty());
         // Serialization is stable.
         assert_eq!(back.to_text(), text);
@@ -409,7 +409,7 @@ mod tests {
         ck.save(&path).expect("saves");
         let back = Checkpoint::load(&path).expect("loads");
         assert_eq!(back.to_text(), ck.to_text());
-        assert!(!path.with_extension("ckpt.tmp").exists() || true);
+        assert!(!path.with_extension("ckpt.tmp").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -7,14 +7,15 @@
 //!
 //! * **The checkpoint layout.** The caller's configuration `meta` lines
 //!   in the caller's order, then `energy_model`, `gens_done` and
-//!   `planned_gens`; then the caller's sections; the shared
-//!   [`EvalCache`]'s `cache` section last. Checkpoints already on disk
-//!   (`spa-gen --resume`, `spa-serve`'s `SERVE_CACHE_DIR`) resume only
-//!   while this layout holds.
+//!   `planned_gens`; then the caller's sections. Checkpoints already on
+//!   disk (`spa-gen --resume`, `spa-serve`'s `SERVE_CACHE_DIR`) resume
+//!   only while this layout holds.
 //! * **Resume.** Kind and configuration are checked with
-//!   [`Checkpoint::require`], `gens_done` must not exceed the planned
-//!   count, and the cache section is imported. The caller then checks
-//!   its own sections against `gens_done`.
+//!   [`Checkpoint::require`], and `gens_done` must not exceed the planned
+//!   count. The caller then checks its own sections against `gens_done`
+//!   and ignores any it does not read, such as the `cache` section older
+//!   checkpoints carry: evaluation is deterministic, so a resumed search
+//!   recomputes what the cost cache held.
 //! * **The loop** over generations `from..planned`: a stop condition is
 //!   checked before each generation (saving and returning `Partial`), a
 //!   checkpoint is saved after each one the cadence asks for, and a
@@ -23,53 +24,47 @@
 use super::checkpoint::{Checkpoint, CheckpointError};
 use super::control::{Partial, RunCtl, RunStatus};
 use crate::error::AutoSegError;
-use pucost::EvalCache;
 
 /// A search's named checkpoint sections, in the order they are written.
 pub(crate) type Sections = Vec<(String, Vec<String>)>;
 
-/// One anytime search: its checkpoint kind and configuration, the cost
-/// cache that rides along in its checkpoints, its policy and its planned
-/// generation count.
+/// One anytime search: its checkpoint kind and configuration, its policy
+/// and its planned generation count.
 pub(crate) struct Sweep<'a> {
     kind: &'static str,
     /// Configuration `meta` lines, `energy_model` last.
     config: Vec<(&'static str, String)>,
-    cache: &'a EvalCache,
     ctl: &'a RunCtl,
     planned: u64,
 }
 
 impl<'a> Sweep<'a> {
+    /// A search of `kind` whose evaluations use the energy model with
+    /// fingerprint `energy_model`.
     pub(crate) fn new(
         kind: &'static str,
         mut config: Vec<(&'static str, String)>,
-        cache: &'a EvalCache,
+        energy_model: u64,
         ctl: &'a RunCtl,
         planned: u64,
     ) -> Self {
-        config.push((
-            "energy_model",
-            format!("{:016x}", cache.model_fingerprint()),
-        ));
+        config.push(("energy_model", format!("{energy_model:016x}")));
         Self {
             kind,
             config,
-            cache,
             ctl,
             planned,
         }
     }
 
     /// Loads the ctl's resume source, if any, and returns it with its
-    /// `gens_done`; the cache section is already imported.
+    /// `gens_done`.
     ///
     /// # Errors
     ///
     /// [`CheckpointError::Mismatch`] when kind or configuration differ,
     /// [`CheckpointError::Corrupt`] when `gens_done` is missing or above
-    /// the planned count or a cache line is malformed, plus the load
-    /// errors of [`Checkpoint::load`].
+    /// the planned count, plus the load errors of [`Checkpoint::load`].
     pub(crate) fn resume(&self) -> Result<Option<(Checkpoint, u64)>, CheckpointError> {
         let Some(path) = self.ctl.resume_from() else {
             return Ok(None);
@@ -83,14 +78,6 @@ impl<'a> Sweep<'a> {
                 path: path.display().to_string(),
                 reason: format!("gens_done {gens} exceeds the {} planned", self.planned),
             });
-        }
-        for line in ck.section("cache") {
-            self.cache
-                .import_line(line)
-                .map_err(|e| CheckpointError::Corrupt {
-                    path: "cache-section".into(),
-                    reason: e.to_string(),
-                })?;
         }
         obs::event(
             "checkpoint.resume",
@@ -152,7 +139,6 @@ impl<'a> Sweep<'a> {
         for (name, lines) in sections(state) {
             ck.push_section(&name, lines);
         }
-        ck.push_section("cache", self.cache.export_lines());
         ck.save(path)?;
         obs::event(
             "checkpoint.save",

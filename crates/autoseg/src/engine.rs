@@ -257,7 +257,7 @@ impl AutoSeg {
                 ("max_segments", self.max_segments.to_string()),
                 ("segmenter", self.segmenter.name().to_string()),
             ],
-            &cache,
+            cache.model_fingerprint(),
             ctl,
             chunks.len() as u64,
         );
@@ -266,7 +266,7 @@ impl AutoSeg {
         // restored from a checkpoint and/or computed below. Designs are
         // not persisted: the winner is *rematerialized* at the end by
         // re-evaluating its shape, which is bit-identical because the
-        // evaluation is deterministic (and cache-hot).
+        // evaluation is deterministic.
         let mut results: Vec<(bool, Option<f64>)> = Vec::new();
         let mut from = 0;
         if let Some((ck, gens)) = sweep.resume()? {

@@ -3,12 +3,13 @@
 //! results to the uninterrupted run — for every co-design method, any
 //! thread count, and the engine sweep. This is the acceptance criterion
 //! of the checkpoint/resume subsystem; if any piece of optimizer state
-//! (RNG stream position, TPE history, cost-cache contents, best-so-far
-//! points) were lost or reordered across the save/replay boundary, the
-//! resumed trajectory would diverge and these comparisons would fail.
+//! (RNG stream position, TPE history, best-so-far points) were lost or
+//! reordered across the save/replay boundary, the resumed trajectory
+//! would diverge and these comparisons would fail.
 
 use autoseg::codesign::{run_codesign, CodesignBudgets, Method};
 use autoseg::{AutoSeg, AutoSegError, Checkpoint, CheckpointError, RunCtl, RunStatus, StopReason};
+use bayesopt::Transcript;
 use nnmodel::zoo;
 use spa_arch::HwBudget;
 use std::path::{Path, PathBuf};
@@ -274,29 +275,35 @@ fn engine_resume_rejects_shapes_that_are_not_whole_generations() {
     let _ = std::fs::remove_file(&written);
 }
 
-/// Budgets under which each optimizer unit runs two generations (8
-/// candidates, then 1), so kills can land inside a unit.
-fn two_gen_units() -> CodesignBudgets {
+/// Budgets under which an optimizer-backed search runs 12 generations
+/// (11 of 8 evaluations, then 4), so kills land deep inside it.
+fn long_search() -> CodesignBudgets {
     CodesignBudgets {
-        hw_iters: 96,
+        hw_iters: 92,
         ..budgets(2)
     }
 }
 
 #[test]
-fn optimizer_units_of_several_generations_resume_mid_unit() {
+fn optimizer_searches_of_many_generations_resume_mid_search() {
     let model = zoo::alexnet_conv();
     let budget = HwBudget::nvdla_small();
-    let b = two_gen_units();
+    let b = long_search();
     for method in [
         Method::MipRandom,
         Method::MipBaye,
         Method::MipAnneal,
         Method::BayeBaye,
     ] {
-        let reference = run_codesign(&model, &budget, &b, method, &RunCtl::none()).unwrap();
+        let done = ckpt_path(&format!("mid_search_{}", method.label()));
+        let ctl = RunCtl::none().checkpoint(&done, 1);
+        let reference = run_codesign(&model, &budget, &b, method, &ctl).unwrap();
+        // One optimizer spends exactly the hardware budget.
+        let lines = Checkpoint::load(&done).unwrap().section("transcript").to_vec();
+        let t = Transcript::from_lines(lines.iter().map(String::as_str)).unwrap();
+        assert_eq!((t.gens(), t.evals()), (12, b.hw_iters), "{method}");
         for kill in [1, 3] {
-            let ckpt = ckpt_path(&format!("mid_unit_{}_k{kill}", method.label()));
+            let ckpt = ckpt_path(&format!("mid_search_{}_k{kill}", method.label()));
             let cut = run_codesign(
                 &model,
                 &budget,
@@ -312,6 +319,7 @@ fn optimizer_units_of_several_generations_resume_mid_unit() {
             assert_eq!(resumed.points, reference.points, "{method} k={kill}");
             let _ = std::fs::remove_file(&ckpt);
         }
+        let _ = std::fs::remove_file(&done);
     }
 }
 
@@ -321,15 +329,15 @@ fn codesign_resume_rejects_gens_done_that_disagrees_with_the_state() {
     let budget = HwBudget::nvdla_small();
     // (method, budgets, generations before the kill, forged gens_done
     // values). The chunked methods plan 2 generations here. The
-    // optimizer-backed ones are killed inside their second unit, and
-    // their transcripts must agree with gens_done.
+    // optimizer-backed ones plan 12, and their transcript must agree
+    // with gens_done.
     let cases: [(Method, CodesignBudgets, u64, &[u64]); 6] = [
         (Method::MipHeuristic, budgets(2), 1, &[999]),
         (Method::BayeHeuristic, budgets(2), 1, &[999]),
-        (Method::MipRandom, two_gen_units(), 3, &[2, 4, 999]),
-        (Method::MipBaye, two_gen_units(), 3, &[0, 2, 4, 999]),
-        (Method::MipAnneal, two_gen_units(), 3, &[2, 4, 999]),
-        (Method::BayeBaye, two_gen_units(), 3, &[2, 4, 999]),
+        (Method::MipRandom, long_search(), 3, &[2, 4, 999]),
+        (Method::MipBaye, long_search(), 3, &[0, 2, 4, 999]),
+        (Method::MipAnneal, long_search(), 3, &[2, 4, 999]),
+        (Method::BayeBaye, long_search(), 3, &[2, 4, 999]),
     ];
     for (method, b, kill, forged) in cases {
         let written = ckpt_path(&format!("forged_{}", method.label()));
@@ -412,7 +420,7 @@ fn checkpoint_layout_is_pinned() {
             "planned_gens"
         ]
     );
-    assert_eq!(sections, ["shapes", "cache"]);
+    assert_eq!(sections, ["shapes"]);
 
     let codesign = ckpt_path("layout_codesign");
     run_codesign(
@@ -439,7 +447,50 @@ fn checkpoint_layout_is_pinned() {
             "planned_gens"
         ]
     );
-    assert_eq!(sections, ["points", "unit.0", "cache"]);
+    assert_eq!(sections, ["points", "transcript"]);
     let _ = std::fs::remove_file(&engine);
     let _ = std::fs::remove_file(&codesign);
+}
+
+#[test]
+fn codesign_resume_rejects_per_shape_unit_sections() {
+    // The older layout: one transcript per (N, S) shape in `unit.N`
+    // sections, then a `cache` section.
+    let (model, budget, b) = (zoo::alexnet_conv(), HwBudget::nvdla_small(), budgets(2));
+    let ckpt = ckpt_path("unit_sections");
+    let stop = RunCtl::none().stop_after_gens(1).checkpoint(&ckpt, 1);
+    run_codesign(&model, &budget, &b, Method::MipBaye, &stop).unwrap();
+    rewrite_body(&ckpt, |body| {
+        format!("{}sec cache 0\n", body.replace("sec transcript ", "sec unit.0 "))
+    });
+    let resume = RunCtl::none().resume(&ckpt);
+    let err = run_codesign(&model, &budget, &b, Method::MipBaye, &resume).unwrap_err();
+    assert!(
+        matches!(
+            &err,
+            AutoSegError::Checkpoint(CheckpointError::Corrupt { path, .. }) if path == "unit.0"
+        ),
+        "got {err}"
+    );
+    let _ = std::fs::remove_file(&ckpt);
+}
+
+#[test]
+fn engine_resume_ignores_a_stray_cache_section() {
+    // Older checkpoints end in the eval cache's `cache` section. Nothing
+    // parses it (the malformed line shows that): evaluation is
+    // deterministic, so the resumed sweep recomputes what it held.
+    let eng = AutoSeg::new(HwBudget::nvdla_small()).max_pus(4).max_segments(6).threads(2);
+    let model = zoo::squeezenet1_0();
+    let full = eng.run(&model).unwrap();
+    let ckpt = ckpt_path("stray_cache");
+    eng.run_ctl(&model, &RunCtl::none().stop_after_gens(1).checkpoint(&ckpt, 1))
+        .unwrap();
+    rewrite_body(&ckpt, |body| format!("{body}sec cache 1\nck not-an-entry\n"));
+    let resumed = eng.run_ctl(&model, &RunCtl::none().resume(&ckpt)).unwrap();
+    assert!(resumed.status.is_complete());
+    let out = resumed.outcome.expect("feasible");
+    assert_eq!((&out.design, out.explored), (&full.design, full.explored));
+    assert_eq!(out.report.seconds.to_bits(), full.report.seconds.to_bits());
+    let _ = std::fs::remove_file(&ckpt);
 }

@@ -407,11 +407,6 @@ pub struct Transcript {
 }
 
 impl Transcript {
-    /// An empty transcript.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Appends one completed generation (the batch as observed).
     pub fn push_gen(&mut self, gen: Vec<(Vec<usize>, f64)>) {
         self.gens.push(gen);
@@ -714,7 +709,7 @@ mod tests {
 
     /// Runs `gens` generation-batched rounds, recording a transcript.
     fn run_recorded(opt: &mut dyn Optimizer, gens: usize, k: usize) -> Transcript {
-        let mut tr = Transcript::new();
+        let mut tr = Transcript::default();
         for _ in 0..gens {
             let batch = opt.suggest_batch(k);
             let scored: Vec<(Vec<usize>, f64)> = batch
@@ -791,7 +786,7 @@ mod tests {
 
     #[test]
     fn transcript_lines_round_trip_bit_exactly() {
-        let mut tr = Transcript::new();
+        let mut tr = Transcript::default();
         tr.push_gen(vec![
             (vec![1, 2, 3], 0.1 + 0.2), // not exactly representable
             (vec![0, 0, 31], f64::INFINITY),
@@ -828,6 +823,6 @@ mod tests {
                 "{bad:?}"
             );
         }
-        assert_eq!(Transcript::from_lines([]), Ok(Transcript::new()));
+        assert_eq!(Transcript::from_lines([]), Ok(Transcript::default()));
     }
 }

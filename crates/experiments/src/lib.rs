@@ -226,7 +226,7 @@ mod tests {
     fn f3_formats() {
         assert_eq!(f3(0.0), "0");
         assert_eq!(f3(1234.5), "1234"); // ties-to-even
-        assert_eq!(f3(3.14159), "3.14");
+        assert_eq!(f3(2.71234), "2.71");
         assert_eq!(f3(0.001234), "0.0012");
     }
 

@@ -820,19 +820,6 @@ fn eval_json(df: Dataflow, e: &PuEval) -> Json {
     ])
 }
 
-fn budget_by_name(name: &str) -> Option<HwBudget> {
-    Some(match name {
-        "eyeriss" => HwBudget::eyeriss(),
-        "nvdla-small" => HwBudget::nvdla_small(),
-        "nvdla-large" => HwBudget::nvdla_large(),
-        "edge-tpu" => HwBudget::edge_tpu(),
-        "zu3eg" => HwBudget::zu3eg(),
-        "7z045" => HwBudget::z7045(),
-        "ku115" => HwBudget::ku115(),
-        _ => return None,
-    })
-}
-
 fn stop_reason_label(r: StopReason) -> &'static str {
     match r {
         StopReason::Deadline => "deadline",
@@ -914,7 +901,7 @@ type SearchResult = Result<(RunStatus, Json), (&'static str, String)>;
 fn run_segment(inner: &Arc<Inner>, model: &str, budget: &str, ctl: &RunCtl) -> SearchResult {
     let graph = nnmodel::zoo::by_name(model)
         .ok_or_else(|| ("unknown-model", format!("no zoo model named {model:?}")))?;
-    let budget = budget_by_name(budget)
+    let budget = HwBudget::by_name(budget)
         .ok_or_else(|| ("unknown-budget", format!("no budget preset named {budget:?}")))?;
     let engine = AutoSeg::new(budget).threads(inner.cfg.threads.max(1));
     let anytime = engine
@@ -956,7 +943,7 @@ fn run_codesign(
 ) -> SearchResult {
     let graph = nnmodel::zoo::by_name(model)
         .ok_or_else(|| ("unknown-model", format!("no zoo model named {model:?}")))?;
-    let hw = budget_by_name(budget)
+    let hw = HwBudget::by_name(budget)
         .ok_or_else(|| ("unknown-budget", format!("no budget preset named {budget:?}")))?;
     let method = Method::parse(method)
         .ok_or_else(|| ("unknown-method", format!("no codesign method named {method:?}")))?;

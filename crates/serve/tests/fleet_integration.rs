@@ -273,26 +273,20 @@ fn codesign_failover_resumes_bit_identical_after_owner_shard_dies() {
     // first progress event), then pull the plug. If the search is so
     // fast the terminal beats the progress event, the equality check
     // below still pins the digest.
-    let mut terminal: Option<Json> = None;
-    loop {
-        let line = answers.recv_timeout(test_timeout()).expect("pickup or terminal");
-        let v = serve::json::parse(&line).expect("json");
-        match v.get("kind").and_then(Json::as_str) {
-            Some("progress") => {
-                assert_eq!(
-                    v.get("shard").and_then(Json::as_u64),
-                    Some(owner as u64),
-                    "progress from the ring-assigned owner: {line}"
-                );
-                break;
-            }
-            Some(_) => {
-                terminal = Some(v);
-                break;
-            }
-            None => panic!("response without kind: {line}"),
+    let line = answers.recv_timeout(test_timeout()).expect("pickup or terminal");
+    let v = serve::json::parse(&line).expect("json");
+    let terminal = match v.get("kind").and_then(Json::as_str) {
+        Some("progress") => {
+            assert_eq!(
+                v.get("shard").and_then(Json::as_u64),
+                Some(owner as u64),
+                "progress from the ring-assigned owner: {line}"
+            );
+            None
         }
-    }
+        Some(_) => Some(v),
+        None => panic!("response without kind: {line}"),
+    };
     if terminal.is_none() {
         // SIGTERM: the shard checkpoints the running search, answers a
         // restart-artifact partial the router retries, and dies; the

@@ -275,22 +275,16 @@ fn interrupted_codesign_resumes_bit_identical_after_restart() {
         client.submit(&codesign_line(1, "mip-baye", 40, 48, ""));
         // Wait for the worker to pick the search up (its `progress`
         // event), then pull the plug mid-flight.
-        let mut terminal = None;
-        loop {
-            let line = answers
-                .recv_timeout(test_timeout())
-                .expect("response while waiting for pickup");
-            let v = serve::json::parse(&line).expect("json");
-            match v.get("kind").and_then(Json::as_str) {
-                Some("progress") => break,
-                // The whole search finished before we saw the pickup.
-                Some(_) => {
-                    terminal = Some(v);
-                    break;
-                }
-                None => panic!("response without kind: {line}"),
-            }
-        }
+        let line = answers
+            .recv_timeout(test_timeout())
+            .expect("response while waiting for pickup");
+        let v = serve::json::parse(&line).expect("json");
+        let terminal = match v.get("kind").and_then(Json::as_str) {
+            Some("progress") => None,
+            // The whole search finished before we saw the pickup.
+            Some(_) => Some(v),
+            None => panic!("response without kind: {line}"),
+        };
         server.shutdown();
         let v = terminal.unwrap_or_else(|| terminal_for(&answers, 1));
         server.join();

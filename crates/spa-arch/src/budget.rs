@@ -182,6 +182,15 @@ impl HwBudget {
         vec![Self::zu3eg(), Self::z7045(), Self::ku115()]
     }
 
+    /// The preset named `name` (`"eyeriss"`, `"7z045"`, …) among
+    /// [`HwBudget::asic_suite`] and [`HwBudget::fpga_suite`].
+    pub fn by_name(name: &str) -> Option<Self> {
+        Self::asic_suite()
+            .into_iter()
+            .chain(Self::fpga_suite())
+            .find(|b| b.name == name)
+    }
+
     /// Pre-flight sanity check: positive PE/memory capacities, positive
     /// finite rates, and BRAM-block-aligned capacity on FPGA platforms.
     /// All Table II/III presets pass; spec-file and user-constructed
@@ -284,6 +293,14 @@ mod tests {
     fn suites_have_expected_sizes() {
         assert_eq!(HwBudget::asic_suite().len(), 4);
         assert_eq!(HwBudget::fpga_suite().len(), 3);
+    }
+
+    #[test]
+    fn presets_are_found_by_name() {
+        for b in HwBudget::asic_suite().into_iter().chain(HwBudget::fpga_suite()) {
+            assert_eq!(HwBudget::by_name(&b.name), Some(b));
+        }
+        assert_eq!(HwBudget::by_name("no-such-budget"), None);
     }
 
     #[test]

@@ -28,19 +28,6 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
-fn budget_by_name(name: &str) -> Option<HwBudget> {
-    Some(match name {
-        "eyeriss" => HwBudget::eyeriss(),
-        "nvdla-small" => HwBudget::nvdla_small(),
-        "nvdla-large" => HwBudget::nvdla_large(),
-        "edge-tpu" => HwBudget::edge_tpu(),
-        "zu3eg" => HwBudget::zu3eg(),
-        "7z045" => HwBudget::z7045(),
-        "ku115" => HwBudget::ku115(),
-        _ => return None,
-    })
-}
-
 fn usage() -> ExitCode {
     eprintln!(
         "usage: spa-gen <model> <budget> [--goal latency|throughput] [--out DIR]\n\
@@ -99,7 +86,7 @@ fn main() -> ExitCode {
     } else {
         args
     };
-    let Some(budget) = budget_by_name(&args[1]) else {
+    let Some(budget) = HwBudget::by_name(&args[1]) else {
         eprintln!("unknown budget `{}`", args[1]);
         return usage();
     };
