@@ -17,11 +17,24 @@
 //! 5. leftover budget is spent doubling the latency-dominating PU of the
 //!    most compute-bound segment (lines 17–25); over-budget designs halve
 //!    the least-utilized PU (lines 26–30).
+//!
+//! A PU's geometry, buffers and dataflows read only its own PE count and
+//! the layers the schedule maps onto it. So allocation keeps one plan per
+//! (PU, PE count) — its configuration, and per segment its dataflow and
+//! cycles — and assembles designs from plans: a scale-up trial or a
+//! scale-down step re-plans only the PU whose PE count changed, and the
+//! bottleneck score is read from the plans.
+//!
+//! Costs come straight from [`pucost::evaluate`], which is far cheaper
+//! than a memo lookup. The memoized twins [`allocate_with`] and
+//! [`manual_design_with`] run the same body with every probe routed
+//! through a caller's [`EvalCache`], for searches that want the probed
+//! keys collected; their designs are identical.
 
 use crate::engine::DesignGoal;
 use crate::error::AutoSegError;
 use nnmodel::Workload;
-use pucost::{Dataflow, EvalCache, LayerDesc, PuConfig};
+use pucost::{evaluate, Dataflow, EnergyModel, EvalCache, LayerDesc, PuConfig, PuEval};
 use spa_arch::{HwBudget, SegmentSchedule, SpaDesign};
 
 /// Per-PU DRAM bytes attributable to segment `s` (weights + external input
@@ -52,32 +65,72 @@ fn pu_access(workload: &Workload, schedule: &SegmentSchedule, s: usize, pu: usiz
     bytes
 }
 
-/// Picks the faster dataflow for the items of `(pu, segment)` and returns
-/// `(dataflow, total cycles)`. Per-layer costs come from the shared
-/// [`EvalCache`], so repeated probes of the same `(layer, PU, dataflow)`
-/// across the search are computed once.
-pub(crate) fn eval_pu_segment(
-    workload: &Workload,
-    schedule: &SegmentSchedule,
-    s: usize,
-    pu_idx: usize,
+/// Total cycles and on-chip energy of `layers` on `pu` under `df`,
+/// evaluated directly or, given a cache, as one batched probe.
+fn layers_cost(
+    layers: &[LayerDesc],
     pu: &PuConfig,
-    cache: &EvalCache,
-) -> (Dataflow, u64) {
-    let items = schedule.segments[s].items_on(pu_idx);
-    let descs: Vec<LayerDesc> =
-        items.iter().map(|&i| LayerDesc::from_item(&workload.items()[i])).collect();
-    let mut cands = Vec::with_capacity(2);
-    for df in [Dataflow::WeightStationary, Dataflow::OutputStationary] {
-        // One batched probe per dataflow over the segment's layers.
-        let probes: Vec<_> = descs.iter().map(|d| (*d, *pu, df)).collect();
-        let (mut cycles, mut energy) = (0u64, 0f64);
-        for e in cache.evaluate_probes(&probes) {
-            cycles += e.cycles;
-            energy += e.energy.total_pj();
+    df: Dataflow,
+    cache: Option<&EvalCache>,
+) -> (u64, f64) {
+    let (mut cycles, mut energy) = (0u64, 0f64);
+    let mut add = |e: PuEval| {
+        cycles += e.cycles;
+        energy += e.energy.total_pj();
+    };
+    match cache {
+        Some(cache) => {
+            let probes: Vec<_> = layers.iter().map(|d| (*d, *pu, df)).collect();
+            cache.evaluate_probes(&probes).into_iter().for_each(add);
         }
-        cands.push((df, cycles, energy));
+        None => {
+            let em = EnergyModel::tsmc28();
+            layers.iter().for_each(|d| add(evaluate(d, pu, df, &em)));
+        }
     }
+    (cycles, energy)
+}
+
+/// Per candidate geometry, the total over `layers` of the faster
+/// dataflow's cycles, evaluated directly or, given a cache, as two
+/// batched probes per layer (every candidate under WS, then under OS).
+fn geometry_cycles<'l>(
+    layers: impl Iterator<Item = &'l LayerDesc>,
+    cands: &[PuConfig],
+    cache: Option<&EvalCache>,
+) -> Vec<u64> {
+    let em = EnergyModel::tsmc28();
+    let mut totals = vec![0u64; cands.len()];
+    for d in layers {
+        if let Some(cache) = cache {
+            let sweep = |df| cands.iter().map(|pu| (*d, *pu, df)).collect::<Vec<_>>();
+            let ws = cache.evaluate_probes(&sweep(Dataflow::WeightStationary));
+            let os = cache.evaluate_probes(&sweep(Dataflow::OutputStationary));
+            for (total, (w, o)) in totals.iter_mut().zip(ws.iter().zip(&os)) {
+                *total += w.cycles.min(o.cycles);
+            }
+        } else {
+            for (total, pu) in totals.iter_mut().zip(cands) {
+                let w = evaluate(d, pu, Dataflow::WeightStationary, &em).cycles;
+                let o = evaluate(d, pu, Dataflow::OutputStationary, &em).cycles;
+                *total += w.min(o);
+            }
+        }
+    }
+    totals
+}
+
+/// Picks the faster dataflow for `layers` (one segment's items on `pu`)
+/// and returns `(dataflow, total cycles)`.
+fn segment_dataflow(
+    layers: &[LayerDesc],
+    pu: &PuConfig,
+    cache: Option<&EvalCache>,
+) -> (Dataflow, u64) {
+    let cands = [Dataflow::WeightStationary, Dataflow::OutputStationary].map(|df| {
+        let (cycles, energy) = layers_cost(layers, pu, df, cache);
+        (df, cycles, energy)
+    });
     // Lower latency wins (Algorithm 1 line 12); within a 5% latency band,
     // prefer the lower-energy dataflow.
     let fastest = cands.iter().map(|c| c.1).min().unwrap_or(0);
@@ -86,9 +139,174 @@ pub(crate) fn eval_pu_segment(
         .iter()
         .filter(|c| c.1 <= band)
         .min_by(|a, b| a.2.partial_cmp(&b.2).unwrap_or(std::cmp::Ordering::Equal))
-        .or_else(|| cands.first())
-        .expect("two candidates");
+        .unwrap_or(&cands[0]);
     (pick.0, pick.1)
+}
+
+/// Picks the faster dataflow for the items of `(pu, segment)` and returns
+/// `(dataflow, total cycles)`, evaluating the cost model directly. The
+/// frozen-hardware callers (multi-model merging, remapping) choose
+/// dataflows with it.
+pub(crate) fn eval_pu_segment(
+    workload: &Workload,
+    schedule: &SegmentSchedule,
+    s: usize,
+    pu_idx: usize,
+    pu: &PuConfig,
+) -> (Dataflow, u64) {
+    let layers: Vec<LayerDesc> = schedule.segments[s]
+        .items_on(pu_idx)
+        .iter()
+        .map(|&i| LayerDesc::from_item(&workload.items()[i]))
+        .collect();
+    segment_dataflow(&layers, pu, None)
+}
+
+/// One PU at one PE count: its configuration (geometry, minimum buffers)
+/// and, per segment, the dataflow it picks and the cycles it takes.
+struct PuPlan {
+    pu: PuConfig,
+    segments: Vec<(Dataflow, u64)>,
+}
+
+/// Plans the PUs of one schedule. A PU's plan reads only its own PE
+/// count and the layers the schedule maps onto it, so each (PU, PE
+/// count) is planned once: designs are assembled from plans, and a
+/// scale-up trial or scale-down step re-plans only the PU it changes.
+struct Planner<'a> {
+    /// The layers each PU runs, `[pu][segment]`, in assignment order.
+    layers: Vec<Vec<Vec<LayerDesc>>>,
+    freq_mhz: f64,
+    cache: Option<&'a EvalCache>,
+    /// Plans made so far, per PU, with their PE counts.
+    plans: Vec<Vec<(usize, PuPlan)>>,
+}
+
+impl<'a> Planner<'a> {
+    fn new(
+        workload: &Workload,
+        schedule: &SegmentSchedule,
+        freq_mhz: f64,
+        cache: Option<&'a EvalCache>,
+    ) -> Self {
+        let layers: Vec<Vec<Vec<LayerDesc>>> = (0..schedule.n_pus)
+            .map(|pu| {
+                schedule
+                    .segments
+                    .iter()
+                    .map(|seg| {
+                        seg.items_on(pu)
+                            .iter()
+                            .map(|&i| LayerDesc::from_item(&workload.items()[i]))
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        let plans = layers.iter().map(|_| Vec::new()).collect();
+        Self {
+            layers,
+            freq_mhz,
+            cache,
+            plans,
+        }
+    }
+
+    /// The plans for PE vector `pes` (one count per PU), making the
+    /// missing ones.
+    fn plans(&mut self, pes: &[usize]) -> Vec<&PuPlan> {
+        for (pu, &p) in pes.iter().enumerate() {
+            if !self.plans[pu].iter().any(|&(q, _)| q == p) {
+                let plan = self.plan(pu, p);
+                self.plans[pu].push((p, plan));
+            }
+        }
+        pes.iter()
+            .zip(&self.plans)
+            .map(|(&p, made)| &made.iter().find(|&&(q, _)| q == p).expect("planned").1)
+            .collect()
+    }
+
+    /// Plans PU `pu` with `p` PEs: minimum buffers (line 10), geometry,
+    /// per-segment dataflows (line 12).
+    fn plan(&self, pu: usize, p: usize) -> PuPlan {
+        let layers = &self.layers[pu];
+        // Buffers must satisfy the worst item ever mapped to this PU.
+        let (mut ab, mut wb) = (1u64, 1u64);
+        for d in layers.iter().flatten() {
+            ab = ab.max(d.min_act_buf_bytes());
+            wb = wb.max(d.min_wgt_buf_bytes(p));
+        }
+        // Aspect-ratio matching: among power-of-two factorizations of the
+        // PE budget, pick the geometry that minimizes total cycles of the
+        // PU's assigned layers (the case-study designs of Table VI are
+        // decidedly non-square: 32x4, 32x8). Tall/flat extremes are
+        // skipped — a 1-wide systolic array is not a realistic datapath.
+        let log = p.trailing_zeros() as usize;
+        let mut geoms: Vec<(usize, usize)> = Vec::with_capacity(log + 1);
+        for j in 0..=log {
+            let (r, c) = (1usize << j, p >> j);
+            if p >= 16 && (r < 2 || c < 2) {
+                continue;
+            }
+            // Degenerate slabs (e.g. 2x512) are not realistic datapaths:
+            // keep the aspect ratio within 16:1.
+            if p >= 64 && r.max(c) > 16 * r.min(c) {
+                continue;
+            }
+            geoms.push((r, c));
+        }
+        let cands: Vec<PuConfig> = geoms
+            .iter()
+            .map(|&(r, c)| PuConfig::new(r, c).with_freq_mhz(self.freq_mhz))
+            .collect();
+        let totals = geometry_cycles(layers.iter().flatten(), &cands, self.cache);
+        let mut best: Option<(u64, usize, usize)> = None;
+        for (g, &(r, c)) in geoms.iter().enumerate() {
+            if best.is_none_or(|(b, _, _)| totals[g] < b) {
+                best = Some((totals[g], r, c));
+            }
+        }
+        let (r, c) = best.map_or_else(|| PuConfig::square_geometry(p), |(_, r, c)| (r, c));
+        let pu = PuConfig::new(r, c)
+            .with_freq_mhz(self.freq_mhz)
+            .with_buffers(ab, wb);
+        let segments = layers
+            .iter()
+            .map(|seg| segment_dataflow(seg, &pu, self.cache))
+            .collect();
+        PuPlan { pu, segments }
+    }
+}
+
+/// Estimated end-to-end compute score: the sum over segments of the
+/// bottleneck PU's cycles (Eq. 7).
+fn bottleneck_score(plans: &[&PuPlan]) -> u64 {
+    let s_max = plans.first().map_or(0, |p| p.segments.len());
+    (0..s_max)
+        .map(|s| plans.iter().map(|p| p.segments[s].1).max().unwrap_or(0))
+        .sum()
+}
+
+/// Assembles the (batch 1) design of `schedule` from its PUs' plans.
+fn assemble(
+    workload: &Workload,
+    schedule: &SegmentSchedule,
+    budget: &HwBudget,
+    plans: &[&PuPlan],
+) -> SpaDesign {
+    SpaDesign {
+        name: format!("{}@{}", workload.name(), budget.name),
+        pus: plans.iter().map(|p| p.pu).collect(),
+        schedule: schedule.clone(),
+        dataflows: plans
+            .iter()
+            .map(|p| p.segments.iter().map(|&(df, _)| df).collect())
+            .collect(),
+        batch: 1,
+        bandwidth_gbps: budget.bandwidth_gbps,
+        platform: budget.platform,
+    }
 }
 
 /// Runs Algorithm 1: allocates PEs, buffers, dataflows and batch for
@@ -107,18 +325,35 @@ pub fn allocate(
     budget: &HwBudget,
     goal: DesignGoal,
 ) -> Result<SpaDesign, AutoSegError> {
-    allocate_with(workload, schedule, budget, goal, &EvalCache::default())
+    run_algorithm1(workload, schedule, budget, goal, None)
 }
 
-/// [`allocate`] with a caller-provided [`EvalCache`]; search drivers that
-/// call the allocator many times share one cache so the per-layer cost
-/// probes of later calls hit memoized results.
+/// [`allocate`] with every cost probe served through a caller-provided
+/// [`EvalCache`], in the batches the cache has always seen: one per
+/// (segment, PU, dataflow), and one per (item, dataflow) in the geometry
+/// sweep. The design is the same as [`allocate`]'s; the cache collects
+/// the `(layer, PU, dataflow)` keys a search probes.
+///
+/// # Errors
+///
+/// See [`allocate`].
 pub fn allocate_with(
     workload: &Workload,
     schedule: &SegmentSchedule,
     budget: &HwBudget,
     goal: DesignGoal,
     cache: &EvalCache,
+) -> Result<SpaDesign, AutoSegError> {
+    run_algorithm1(workload, schedule, budget, goal, Some(cache))
+}
+
+/// The one body of Algorithm 1 behind [`allocate`] and [`allocate_with`].
+fn run_algorithm1(
+    workload: &Workload,
+    schedule: &SegmentSchedule,
+    budget: &HwBudget,
+    goal: DesignGoal,
+    cache: Option<&EvalCache>,
 ) -> Result<SpaDesign, AutoSegError> {
     if workload.is_empty() || schedule.is_empty() {
         return Err(AutoSegError::EmptyWorkload);
@@ -175,27 +410,18 @@ pub fn allocate_with(
         pes[worst] /= 2;
     }
 
-    let mut design = build_design(workload, schedule, budget, &pes, cache);
+    let mut planner = Planner::new(workload, schedule, budget.freq_mhz, cache);
+    let plans = planner.plans(&pes);
+    let mut design = assemble(workload, schedule, budget, &plans);
 
     // Steps: batch (lines 13-16).
     if goal == DesignGoal::Throughput {
         design.batch = batch_factor(&design, budget).max(1);
     }
 
-    // Estimated end-to-end compute score: sum over segments of the
-    // bottleneck PU's latency (Eq. 7). Scale-up steps must improve it —
-    // doubling a non-bottleneck PU burns budget without gain.
-    let score_of = |pus: &[PuConfig]| -> u64 {
-        (0..s_max)
-            .map(|s| {
-                (0..n)
-                    .map(|pu| eval_pu_segment(workload, schedule, s, pu, &pus[pu], cache).1)
-                    .max()
-                    .unwrap_or(0)
-            })
-            .sum()
-    };
-    let mut score = score_of(&design.pus);
+    // Scale-up steps must improve the bottleneck score — doubling a
+    // non-bottleneck PU burns budget without gain.
+    let mut score = bottleneck_score(&plans);
 
     // Scale-up loop (lines 17-25).
     let mut frozen = vec![false; s_max];
@@ -211,24 +437,23 @@ pub fn allocate_with(
         // doubling still fits wins (the paper doubles the single longest-
         // latency PU; trying the runners-up before freezing avoids giving
         // up while headroom remains).
-        let mut order: Vec<(usize, u64)> = (0..n)
-            .map(|pu| {
-                (
-                    pu,
-                    eval_pu_segment(workload, schedule, s_hat, pu, &design.pus[pu], cache).1,
-                )
-            })
+        let mut order: Vec<(usize, u64)> = planner
+            .plans(&pes)
+            .iter()
+            .enumerate()
+            .map(|(pu, plan)| (pu, plan.segments[s_hat].1))
             .collect();
         order.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
         let mut grew = false;
         for (n_hat, _) in order {
             let mut trial = pes.clone();
             trial[n_hat] *= 2;
-            let mut candidate = build_design(workload, schedule, budget, &trial, cache);
+            let plans = planner.plans(&trial);
+            let mut candidate = assemble(workload, schedule, budget, &plans);
             if goal == DesignGoal::Throughput {
                 candidate.batch = batch_factor(&candidate, budget).max(1);
             }
-            let trial_score = score_of(&candidate.pus);
+            let trial_score = bottleneck_score(&plans);
             if candidate.fits(budget)
                 && trial_score < score
                 && (goal != DesignGoal::Throughput || candidate.batch >= design.batch.max(1))
@@ -252,20 +477,10 @@ pub fn allocate_with(
     // so Eq. 2-4 legality is preserved), and keep the result if the
     // bottleneck score improves.
     if let Some(rebalanced) = rebalance(workload, schedule, &pes) {
-        let candidate = build_design(workload, &rebalanced, budget, &pes, cache);
-        let rescore = {
-            let sched = &rebalanced;
-            (0..s_max)
-                .map(|s| {
-                    (0..n)
-                        .map(|pu| eval_pu_segment(workload, sched, s, pu, &candidate.pus[pu], cache).1)
-                        .max()
-                        .unwrap_or(0)
-                })
-                .sum::<u64>()
-        };
-        if rescore < score && candidate.fits(budget) {
-            let mut candidate = candidate;
+        let mut replanner = Planner::new(workload, &rebalanced, budget.freq_mhz, cache);
+        let plans = replanner.plans(&pes);
+        let mut candidate = assemble(workload, &rebalanced, budget, &plans);
+        if bottleneck_score(&plans) < score && candidate.fits(budget) {
             if goal == DesignGoal::Throughput {
                 candidate.batch = batch_factor(&candidate, budget).max(1);
             }
@@ -280,7 +495,7 @@ pub fn allocate_with(
             break; // buffers alone exceed the budget; caller rejects
         }
         pes[worst] /= 2;
-        design = build_design(workload, schedule, budget, &pes, cache);
+        design = assemble(workload, schedule, budget, &planner.plans(&pes));
         if goal == DesignGoal::Throughput {
             design.batch = batch_factor(&design, budget).max(1);
         }
@@ -398,10 +613,10 @@ fn batch_factor(design: &SpaDesign, budget: &HwBudget) -> usize {
 }
 
 /// Builds a design from explicit hardware parameters: per-PU PE counts
-/// (powers of two) and a buffer multiplier applied on top of the minimum
-/// capacities. Used by the random/Bayesian hardware-search baselines of
-/// Section VI-G, which replace Algorithm 1 with black-box search over
-/// exactly these knobs.
+/// (powers of two, one per PU of `schedule`) and a buffer multiplier
+/// applied on top of the minimum capacities. Used by the random/Bayesian
+/// hardware-search baselines of Section VI-G, which replace Algorithm 1
+/// with black-box search over exactly these knobs.
 pub fn manual_design(
     workload: &Workload,
     schedule: &SegmentSchedule,
@@ -409,11 +624,12 @@ pub fn manual_design(
     pes: &[usize],
     buf_mult: u64,
 ) -> SpaDesign {
-    manual_design_with(workload, schedule, budget, pes, buf_mult, &EvalCache::default())
+    build_manual(workload, schedule, budget, pes, buf_mult, None)
 }
 
-/// [`manual_design`] with a caller-provided [`EvalCache`] (shared across a
-/// whole black-box hardware search).
+/// [`manual_design`] with every cost probe served through a
+/// caller-provided [`EvalCache`] (shared across a whole black-box
+/// hardware search), in the batches [`allocate_with`] uses.
 pub fn manual_design_with(
     workload: &Workload,
     schedule: &SegmentSchedule,
@@ -422,102 +638,24 @@ pub fn manual_design_with(
     buf_mult: u64,
     cache: &EvalCache,
 ) -> SpaDesign {
-    let mut d = build_design(workload, schedule, budget, pes, cache);
+    build_manual(workload, schedule, budget, pes, buf_mult, Some(cache))
+}
+
+fn build_manual(
+    workload: &Workload,
+    schedule: &SegmentSchedule,
+    budget: &HwBudget,
+    pes: &[usize],
+    buf_mult: u64,
+    cache: Option<&EvalCache>,
+) -> SpaDesign {
+    let mut planner = Planner::new(workload, schedule, budget.freq_mhz, cache);
+    let mut d = assemble(workload, schedule, budget, &planner.plans(pes));
     for pu in &mut d.pus {
         pu.act_buf_bytes *= buf_mult.max(1);
         pu.wgt_buf_bytes *= buf_mult.max(1);
     }
     d
-}
-
-/// Assembles a design for a given PE vector: geometry, minimum buffers
-/// (line 10), per-(PU, segment) dataflows (line 12).
-fn build_design(
-    workload: &Workload,
-    schedule: &SegmentSchedule,
-    budget: &HwBudget,
-    pes: &[usize],
-    cache: &EvalCache,
-) -> SpaDesign {
-    let n = schedule.n_pus;
-    let s_max = schedule.len();
-    let mut pus = Vec::with_capacity(n);
-    for (pu_idx, &p) in pes.iter().enumerate() {
-        // Buffers must satisfy the worst item ever mapped to this PU.
-        let mut ab = 1u64;
-        let mut wb = 1u64;
-        let mut items_here = Vec::new();
-        for seg in &schedule.segments {
-            for &item in &seg.items_on(pu_idx) {
-                let d = LayerDesc::from_item(&workload.items()[item]);
-                ab = ab.max(d.min_act_buf_bytes());
-                wb = wb.max(d.min_wgt_buf_bytes(p));
-                items_here.push(d);
-            }
-        }
-        // Aspect-ratio matching: among power-of-two factorizations of the
-        // PE budget, pick the geometry that minimizes total cycles of the
-        // PU's assigned layers (the case-study designs of Table VI are
-        // decidedly non-square: 32x4, 32x8). Tall/flat extremes are
-        // skipped — a 1-wide systolic array is not a realistic datapath.
-        let log = p.trailing_zeros() as usize;
-        let mut geoms: Vec<(usize, usize)> = Vec::with_capacity(log + 1);
-        for j in 0..=log {
-            let (r, c) = (1usize << j, p >> j);
-            if p >= 16 && (r < 2 || c < 2) {
-                continue;
-            }
-            // Degenerate slabs (e.g. 2x512) are not realistic datapaths:
-            // keep the aspect ratio within 16:1.
-            if p >= 64 && r.max(c) > 16 * r.min(c) {
-                continue;
-            }
-            geoms.push((r, c));
-        }
-        // Score every surviving geometry with two batched probes per
-        // item, all geometries under WS, then all under OS.
-        let cands: Vec<PuConfig> = geoms
-            .iter()
-            .map(|&(r, c)| PuConfig::new(r, c).with_freq_mhz(budget.freq_mhz))
-            .collect();
-        let mut totals = vec![0u64; geoms.len()];
-        for d in &items_here {
-            let sweep = |df| cands.iter().map(|pu| (*d, *pu, df)).collect::<Vec<_>>();
-            let ws = cache.evaluate_probes(&sweep(Dataflow::WeightStationary));
-            let os = cache.evaluate_probes(&sweep(Dataflow::OutputStationary));
-            for (total, (w, o)) in totals.iter_mut().zip(ws.iter().zip(&os)) {
-                *total += w.cycles.min(o.cycles);
-            }
-        }
-        let mut best: Option<(u64, usize, usize)> = None;
-        for (g, &(r, c)) in geoms.iter().enumerate() {
-            if best.is_none_or(|(b, _, _)| totals[g] < b) {
-                best = Some((totals[g], r, c));
-            }
-        }
-        let (_, r, c) = best.unwrap_or((0, PuConfig::square_geometry(p).0, PuConfig::square_geometry(p).1));
-        pus.push(
-            PuConfig::new(r, c)
-                .with_freq_mhz(budget.freq_mhz)
-                .with_buffers(ab, wb),
-        );
-    }
-    let dataflows: Vec<Vec<Dataflow>> = (0..n)
-        .map(|pu| {
-            (0..s_max)
-                .map(|s| eval_pu_segment(workload, schedule, s, pu, &pus[pu], cache).0)
-                .collect()
-        })
-        .collect();
-    SpaDesign {
-        name: format!("{}@{}", workload.name(), budget.name),
-        pus,
-        schedule: schedule.clone(),
-        dataflows,
-        batch: 1,
-        bandwidth_gbps: budget.bandwidth_gbps,
-        platform: budget.platform,
-    }
 }
 
 #[cfg(test)]

@@ -16,9 +16,9 @@
 //!   one generation loop the engine sweep (checkpoint kind `engine`) and
 //!   the co-design methods (kind `codesign`) run on.
 //!
-//! The memoized cost cache the DSE workers share lives in
-//! [`pucost::EvalCache`]; a pool plus one cache handle per search is the
-//! standard wiring (see [`crate::codesign`]).
+//! The engine sweep's workers evaluate the cost model directly. The
+//! co-design searches still share one memoized [`pucost::EvalCache`] per
+//! search across their pool (see [`crate::codesign`]).
 
 pub mod checkpoint;
 pub mod control;

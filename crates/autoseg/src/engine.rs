@@ -1,7 +1,7 @@
 //! The end-to-end AutoSeg flow: enumerate `(N, S)` shapes, segment,
 //! allocate, simulate, keep the best design (Section III's workflow).
 
-use crate::allocate::allocate_with;
+use crate::allocate::allocate;
 use crate::codesign::GENERATION;
 use crate::dse::checkpoint::{f64_from_hex, f64_to_hex, CheckpointError};
 use crate::dse::control::{RunCtl, RunStatus};
@@ -10,9 +10,9 @@ use crate::dse::DsePool;
 use crate::error::AutoSegError;
 use crate::segment::{ChainDpSegmenter, Segmenter};
 use nnmodel::{Graph, Workload};
-use pucost::EvalCache;
+use pucost::EnergyModel;
 use spa_arch::{HwBudget, SpaDesign};
-use spa_sim::{simulate_spa_with, SimReport};
+use spa_sim::{simulate_spa, SimReport};
 
 /// Optimization target of the generated accelerator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -245,7 +245,6 @@ impl AutoSeg {
         } else {
             DsePool::new(self.threads)
         };
-        let cache = EvalCache::default();
         let chunks: Vec<&[(usize, usize)]> = shapes.chunks(GENERATION).collect();
         let sweep = Sweep::new(
             "engine",
@@ -257,7 +256,7 @@ impl AutoSeg {
                 ("max_segments", self.max_segments.to_string()),
                 ("segmenter", self.segmenter.name().to_string()),
             ],
-            cache.model_fingerprint(),
+            EnergyModel::tsmc28().fingerprint(),
             ctl,
             chunks.len() as u64,
         );
@@ -296,8 +295,7 @@ impl AutoSeg {
             let Ok(schedule) = self.segmenter.segment(&workload, n, s) else {
                 return (false, None);
             };
-            let Ok(design) = allocate_with(&workload, &schedule, &self.budget, self.goal, &cache)
-            else {
+            let Ok(design) = allocate(&workload, &schedule, &self.budget, self.goal) else {
                 return (false, None);
             };
             if !design.fits(&self.budget) {
@@ -307,7 +305,7 @@ impl AutoSeg {
             if design.segment_routings(&workload).is_err() {
                 return (true, None);
             }
-            let report = simulate_spa_with(&workload, &design, &cache);
+            let report = simulate_spa(&workload, &design);
             let metric = match self.goal {
                 DesignGoal::Latency => report.seconds,
                 DesignGoal::Throughput => 1.0 / report.gops().max(1e-12),
@@ -344,8 +342,7 @@ impl AutoSeg {
             }
         }
         if obs::enabled() {
-            // Progress event for the (N, S) sweep plus the shared cache's
-            // end-of-search statistics.
+            // Progress event for the (N, S) sweep.
             obs::add("engine.shapes_swept", results.len() as u64);
             obs::add("engine.shapes_feasible", explored as u64);
             obs::event(
@@ -358,7 +355,6 @@ impl AutoSeg {
                     ("complete", status.is_complete().into()),
                 ],
             );
-            cache.stats().publish("engine.cache");
         }
         let outcome = match best {
             Some((metric, idx)) => {

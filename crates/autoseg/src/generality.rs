@@ -13,9 +13,8 @@ use crate::error::AutoSegError;
 use crate::segment::{ChainDpSegmenter, Segmenter};
 use benes::PrunedFabric;
 use nnmodel::{Graph, Workload};
-use pucost::EvalCache;
 use spa_arch::SpaDesign;
-use spa_sim::{simulate_spa_with, SimReport};
+use spa_sim::{simulate_spa, SimReport};
 
 /// Evaluates one candidate segment count `s`: fresh segmentation, first
 /// PU relabeling whose traffic routes on the pruned fabric, frozen
@@ -25,7 +24,6 @@ fn eval_segcount(
     workload: &Workload,
     pruned: &PrunedFabric,
     segmenter: &ChainDpSegmenter,
-    cache: &EvalCache,
     n: usize,
     s: usize,
 ) -> Option<(SpaDesign, SimReport)> {
@@ -44,9 +42,7 @@ fn eval_segcount(
         let dataflows = (0..n)
             .map(|pu| {
                 (0..s)
-                    .map(|si| {
-                        eval_pu_segment(workload, &schedule, si, pu, &dedicated.pus[pu], cache).0
-                    })
+                    .map(|si| eval_pu_segment(workload, &schedule, si, pu, &dedicated.pus[pu]).0)
                     .collect()
             })
             .collect();
@@ -67,7 +63,7 @@ fn eval_segcount(
         if !routings.iter().all(|r| pruned.supports(r)) {
             continue;
         }
-        let report = simulate_spa_with(workload, &candidate, cache);
+        let report = simulate_spa(workload, &candidate);
         // First routable relabeling of this segmentation wins.
         return Some((candidate, report));
     }
@@ -93,9 +89,6 @@ pub fn remap(
         budget: dedicated.name.clone(),
         model: workload.name().to_string(),
     };
-    // The PU hardware is frozen, so every relabeling probes the same
-    // (layer, PU, dataflow) points — one cache serves the whole remap.
-    let cache = EvalCache::default();
     let pruned = dedicated
         .pruned_fabric(dedicated_workload)
         .map_err(|_| infeasible())?;
@@ -104,8 +97,7 @@ pub fn remap(
     // wins.
     let mut best: Option<(SpaDesign, SimReport)> = None;
     for s in 1..=(workload.len() / n).min(16) {
-        let Some((design, report)) =
-            eval_segcount(dedicated, &workload, &pruned, &segmenter, &cache, n, s)
+        let Some((design, report)) = eval_segcount(dedicated, &workload, &pruned, &segmenter, n, s)
         else {
             continue;
         };

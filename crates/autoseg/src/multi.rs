@@ -9,15 +9,14 @@
 //! fabric is pruned against the union of all segment routings — so every
 //! model runs on first-class hardware.
 
-use crate::allocate::{allocate_with, eval_pu_segment};
+use crate::allocate::{allocate, eval_pu_segment};
 use crate::engine::DesignGoal;
 use crate::error::AutoSegError;
 use crate::segment::{ChainDpSegmenter, Segmenter};
 use benes::Routing;
 use nnmodel::{Graph, Workload};
-use pucost::EvalCache;
 use spa_arch::{HwBudget, SpaDesign};
-use spa_sim::{simulate_spa_with, SimReport};
+use spa_sim::{simulate_spa, SimReport};
 
 /// Result of a joint co-design run: one hardware configuration, one
 /// mapped design (schedule + dataflows) per model.
@@ -69,7 +68,6 @@ fn eval_width(
     max_segments: usize,
     n: usize,
     segmenter: &ChainDpSegmenter,
-    cache: &EvalCache,
 ) -> Option<MultiOutcome> {
     // 1. Per-model segmentation: pick the segment count whose solo
     //    allocation simulates fastest.
@@ -80,13 +78,13 @@ fn eval_width(
             let Ok(sched) = segmenter.segment(w, n, s) else {
                 continue;
             };
-            let Ok(d) = allocate_with(w, &sched, budget, DesignGoal::Latency, cache) else {
+            let Ok(d) = allocate(w, &sched, budget, DesignGoal::Latency) else {
                 continue;
             };
             if !d.fits(budget) || d.segment_routings(w).is_err() {
                 continue;
             }
-            let secs = simulate_spa_with(w, &d, cache).seconds;
+            let secs = simulate_spa(w, &d).seconds;
             if best_s
                 .as_ref()
                 .is_none_or(|&(bs, _): &(f64, _)| secs < bs)
@@ -103,7 +101,7 @@ fn eval_width(
     //    then scale down while over budget).
     let mut per_model: Vec<SpaDesign> = Vec::new();
     for (w, sched) in workloads.iter().zip(&schedules) {
-        per_model.push(allocate_with(w, sched, budget, DesignGoal::Latency, cache).ok()?);
+        per_model.push(allocate(w, sched, budget, DesignGoal::Latency).ok()?);
     }
     let mut pus = per_model[0].pus.clone();
     for d in &per_model[1..] {
@@ -144,7 +142,7 @@ fn eval_width(
         let dataflows = (0..n)
             .map(|pu| {
                 (0..sched.len())
-                    .map(|si| eval_pu_segment(w, sched, si, pu, &pus[pu], cache).0)
+                    .map(|si| eval_pu_segment(w, sched, si, pu, &pus[pu]).0)
                     .collect()
             })
             .collect();
@@ -160,7 +158,7 @@ fn eval_width(
         if !d.fits(budget) || d.segment_routings(w).is_err() {
             return None;
         }
-        reports.push(simulate_spa_with(w, &d, cache));
+        reports.push(simulate_spa(w, &d));
         designs.push(d);
     }
 
@@ -199,15 +197,11 @@ pub fn design_multi(
     let _span = obs::span!("autoseg.multi", models = key.as_str());
     let workloads: Vec<Workload> = models.iter().map(Workload::from_graph).collect();
     let segmenter = ChainDpSegmenter::new();
-    // One memo cache for the whole joint search: the per-model trial
-    // allocations and the merged-hardware dataflow probes revisit the same
-    // (layer, PU, dataflow) points constantly.
-    let cache = EvalCache::default();
     let min_len = workloads.iter().map(Workload::len).min().expect("nonempty");
     // Strict `<` in width order: the narrowest of equally fast widths wins.
     let mut best: Option<MultiOutcome> = None;
     for n in 2..=max_pus.min(min_len).min(budget.pes) {
-        let Some(o) = eval_width(&workloads, budget, max_segments, n, &segmenter, &cache) else {
+        let Some(o) = eval_width(&workloads, budget, max_segments, n, &segmenter) else {
             continue;
         };
         if best

@@ -120,7 +120,10 @@ fn digest(text: &str) -> u64 {
 /// agree, otherwise the whole table of new values.
 fn check(table: &str, want: &[(&str, u64)], got: &[(String, u64)]) -> String {
     let same = want.len() == got.len()
-        && want.iter().zip(got).all(|((wl, wd), (gl, gd))| wl == gl && wd == gd);
+        && want
+            .iter()
+            .zip(got)
+            .all(|((wl, wd), (gl, gd))| wl == gl && wd == gd);
     if same {
         return String::new();
     }
@@ -161,8 +164,9 @@ fn allocate_and_manual_design_match_recorded_digests() {
             }
             let mut text = String::new();
             for sched in &schedules {
-                let pes: Vec<usize> =
-                    (0..sched.n_pus).map(|i| 1usize << (2 + (i + mi) % 5)).collect();
+                let pes: Vec<usize> = (0..sched.n_pus)
+                    .map(|i| 1usize << (2 + (i + mi) % 5))
+                    .collect();
                 for mult in [1, 2] {
                     let d = manual_design(&w, sched, &b, &pes, mult);
                     let memo = manual_design_with(&w, sched, &b, &pes, mult, &shared);

@@ -14,8 +14,8 @@
 //! GOLDEN_BLESS=1 cargo test -p experiments --test golden
 //! ```
 //!
-//! which copies the regenerated CSVs over `results/` (review the git
-//! diff afterwards).
+//! which copies the regenerated CSVs over `results/` and patches the
+//! drifted keys of the JSON reports (review the git diff afterwards).
 //!
 //! The binaries are the ones cargo builds for this test: their paths are
 //! the `CARGO_BIN_EXE_*` values baked in at compile time, so a missing
@@ -34,10 +34,20 @@ struct Case {
     csvs: &'static [&'static str],
 }
 
-/// The golden set: every binary here is deterministic and finishes in
-/// seconds (fig18_codesign, the slowest, in about 3 s unoptimized). The
-/// longer sweeps, fig12 and the ablations, are not regenerated here.
+/// The golden set: every deterministic experiment binary that finishes in
+/// seconds unoptimized (fig12_asic_speedup, the slowest, in about 11 s).
+/// The engine's figures (fig12, fig16, fig17, the ablations) pin
+/// `AutoSeg::run`'s designs through the numbers they publish.
 const CASES: &[Case] = &[
+    Case {
+        exe: env!("CARGO_BIN_EXE_ablations"),
+        csvs: &[
+            "ablation_pruning.csv",
+            "ablation_pow2.csv",
+            "ablation_segmentation.csv",
+            "ablation_event_sim.csv",
+        ],
+    },
     Case {
         exe: env!("CARGO_BIN_EXE_fig02_roofline"),
         csvs: &["fig02_ridge.csv", "fig02_roofline.csv"],
@@ -55,8 +65,20 @@ const CASES: &[Case] = &[
         csvs: &["fig05_ops_distribution.csv"],
     },
     Case {
+        exe: env!("CARGO_BIN_EXE_fig12_asic_speedup"),
+        csvs: &["fig12_asic_speedup.csv"],
+    },
+    Case {
         exe: env!("CARGO_BIN_EXE_fig13_mem_reduction"),
         csvs: &["fig13_mem_reduction.csv"],
+    },
+    Case {
+        exe: env!("CARGO_BIN_EXE_fig16_energy"),
+        csvs: &["fig16_energy.csv"],
+    },
+    Case {
+        exe: env!("CARGO_BIN_EXE_fig17_generality"),
+        csvs: &["fig17_generality.csv"],
     },
     Case {
         exe: env!("CARGO_BIN_EXE_fig18_codesign"),
@@ -335,6 +357,69 @@ fn diff_json(file: &str, golden: &str, got: &str) -> Vec<String> {
     out
 }
 
+/// What a JSON bless writes: the golden document with only what the
+/// diff flags taken from the regenerated one — drifted pinned leaves,
+/// new keys, dropped keys and reshaped arrays. Skip-listed values keep
+/// their golden text, and so do shape-skipped subtrees. The result is
+/// rendered by the writer that produced `got` (indented or one line),
+/// so a bless of one drifted key is a one-line diff.
+fn bless_json(file: &str, golden: &str, got: &str) -> Result<String, String> {
+    fn patch(file: &str, old: &mut Json, new: &Json, path: &str) {
+        let sub = |k: &str| {
+            if path.is_empty() {
+                k.to_string()
+            } else {
+                format!("{path}.{k}")
+            }
+        };
+        if json_shape_skipped(path) {
+            return;
+        }
+        match (old, new) {
+            (Json::Obj(o), Json::Obj(n)) if !o.is_empty() && !n.is_empty() => {
+                o.retain(|k, _| n.contains_key(k) || json_shape_skipped(&sub(k)));
+                for (k, v) in n {
+                    match o.get_mut(k) {
+                        Some(ov) => patch(file, ov, v, &sub(k)),
+                        None if !json_shape_skipped(&sub(k)) => {
+                            o.insert(k.clone(), v.clone());
+                        }
+                        None => {}
+                    }
+                }
+            }
+            (Json::Arr(o), Json::Arr(n)) if !o.is_empty() && o.len() == n.len() => {
+                for (i, (ov, nv)) in o.iter_mut().zip(n).enumerate() {
+                    patch(file, ov, nv, &format!("{path}[{i}]"));
+                }
+            }
+            (old, new) => {
+                let leaf = |v: &Json| {
+                    !matches!(v, Json::Obj(m) if !m.is_empty())
+                        && !matches!(v, Json::Arr(a) if !a.is_empty())
+                };
+                if leaf(old) && leaf(new) {
+                    let (gv, nv) = (old.render(), new.render());
+                    let (gq, nq) = (gv.trim_matches('"'), nv.trim_matches('"'));
+                    if json_value_skipped(path) || cells_match(gq, nq, tol_for(file, path)) {
+                        return;
+                    }
+                }
+                *old = new.clone();
+            }
+        }
+    }
+    let mut doc = obs::json::parse(golden).map_err(|e| format!("golden copy: {e}"))?;
+    let new = obs::json::parse(got).map_err(|e| format!("regenerated file: {e}"))?;
+    patch(file, &mut doc, &new, "");
+    let text = if got == format!("{}\n", new.pretty()) {
+        doc.pretty()
+    } else {
+        doc.render()
+    };
+    Ok(format!("{text}\n"))
+}
+
 /// The JSON golden: `bench_dse` under pinned smoke budgets and a fixed
 /// thread count, so every non-skip-listed key is deterministic.
 struct JsonCase {
@@ -490,12 +575,17 @@ fn regenerated_bench_json_matches_golden_within_tolerance() {
             .unwrap_or_else(|e| panic!("{}: {} did not produce it: {e}", case.file, case.exe));
         let diffs = diff_json(case.file, &golden_text, &new_text);
         if !diffs.is_empty() && bless {
-            std::fs::copy(&new_path, &golden_path).expect("bless copy");
-            eprintln!(
-                "golden: blessed {} ({} keys drifted); review `git diff results/`",
-                case.file,
-                diffs.len()
-            );
+            match bless_json(case.file, &golden_text, &new_text) {
+                Ok(blessed) => {
+                    std::fs::write(&golden_path, blessed).expect("bless write");
+                    eprintln!(
+                        "golden: blessed {} ({} keys drifted); review `git diff results/`",
+                        case.file,
+                        diffs.len()
+                    );
+                }
+                Err(e) => mismatches.push(format!("{}: cannot bless: {e}", case.file)),
+            }
             continue;
         }
         mismatches.extend(diffs);
@@ -557,6 +647,50 @@ fn json_differ_reports_file_key_paths() {
     let d = diff_json("b.json", golden, "{nope");
     assert_eq!(d.len(), 1);
     assert!(d[0].contains("not valid JSON"), "{}", d[0]);
+}
+
+#[test]
+fn json_bless_patches_only_drifted_pinned_keys() {
+    let golden = obs::json::parse(
+        r#"{"cache": {"entries": 651, "serial_hit_rate": 0.9632},
+            "eval_throughput": {"host_cpus": 2}, "obs": {"spans": 7}, "points": 44,
+            "serial_s": 1.5, "server_metrics": {"flight": [1, 2]}}"#,
+    )
+    .expect("valid")
+    .pretty()
+        + "\n";
+    // The rerun drifts one pinned key, every skip-listed value and the
+    // flight dump's shape.
+    let got = obs::json::parse(
+        r#"{"cache": {"entries": 651, "serial_hit_rate": 0.9376},
+            "eval_throughput": {"host_cpus": 8}, "obs": {"spans": 9}, "points": 44.0000000001,
+            "serial_s": 0.2, "server_metrics": {"flight": [3]}}"#,
+    )
+    .expect("valid")
+    .pretty()
+        + "\n";
+    assert_eq!(diff_json("b.json", &golden, &got).len(), 1);
+    let blessed = bless_json("b.json", &golden, &got).expect("blesses");
+    assert!(diff_json("b.json", &blessed, &got).is_empty());
+    let changed: Vec<(&str, &str)> = golden
+        .lines()
+        .zip(blessed.lines())
+        .filter(|(g, b)| g != b)
+        .collect();
+    assert_eq!(golden.lines().count(), blessed.lines().count());
+    let line = |v: &str| format!("    \"serial_hit_rate\": {v}");
+    assert_eq!(
+        changed,
+        [(line("0.9632").as_str(), line("0.9376").as_str())]
+    );
+    // Keys the rerun adds or drops are blessed too, and a one-line
+    // report stays on one line.
+    let golden = r#"{"a":1,"gone":true,"s":{"seconds":3}}"#.to_string() + "\n";
+    let got = r#"{"a":2,"new":[1],"s":{"seconds":4}}"#.to_string() + "\n";
+    let blessed = bless_json("b.json", &golden, &got).expect("blesses");
+    assert_eq!(blessed, "{\"a\":2,\"new\":[1],\"s\":{\"seconds\":3}}\n");
+    assert!(diff_json("b.json", &blessed, &got).is_empty());
+    assert!(bless_json("b.json", &golden, "{nope").is_err());
 }
 
 #[test]

@@ -1,13 +1,14 @@
 //! A sharded, thread-safe memoization cache fronting [`evaluate`] and
 //! [`best_dataflow`](crate::best_dataflow).
 //!
-//! The AutoSeg search loops (Algorithm 1's dataflow probes, the Section
-//! VI-G co-design sweeps) evaluate the same `(layer, PU, dataflow)`
-//! triples thousands of times: every scale-up trial re-scores every
-//! segment, every search candidate re-probes both dataflows per item.
-//! [`evaluate`] is a pure function of its inputs plus the energy model, so
-//! those repeats can be served from a cache without changing a single bit
-//! of the result.
+//! The co-design searches of Section VI-G and the serving layer probe the
+//! same `(layer, PU, dataflow)` triples many times: search candidates
+//! re-probe both dataflows per item, and server clients ask for the same
+//! keys. [`evaluate`] is a pure function of its inputs plus the energy
+//! model, so those repeats can be served from a cache without changing a
+//! single bit of the result. A warm hit costs several times a direct
+//! evaluation, so the engine and allocation call [`evaluate`] directly;
+//! the cache is for sharing results and collecting the probed keys.
 //!
 //! The cache is sharded (`Vec<Mutex<HashMap<..>>>`) so concurrent DSE
 //! workers rarely contend on the same lock: the key hash picks the shard,
@@ -367,22 +368,11 @@ impl EvalCache {
         }
     }
 
-    /// FNV-1a fingerprint of the bound [`EnergyModel`]'s exact bits.
-    ///
-    /// Checkpoints store this next to exported cache entries so a resume
-    /// under a different energy model is rejected instead of silently
-    /// mixing evaluations from two models.
+    /// [`EnergyModel::fingerprint`] of the bound model: a snapshot
+    /// stores it next to the exported entries, so that a load under a
+    /// different energy model is rejected.
     pub fn model_fingerprint(&self) -> u64 {
-        let bytes: Vec<u8> = [
-            self.em.mac_pj,
-            self.em.sram_pj_per_byte,
-            self.em.psum_pj_per_byte,
-            self.em.dram_pj_per_byte,
-        ]
-        .iter()
-        .flat_map(|x| x.to_bits().to_le_bytes())
-        .collect();
-        faultsim::rng::fnv1a(&bytes)
+        self.em.fingerprint()
     }
 
     /// Serializes every cached entry to one text line each, sorted (the

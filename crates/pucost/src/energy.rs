@@ -34,6 +34,24 @@ impl EnergyModel {
             dram_pj_per_byte: 32.0,
         }
     }
+
+    /// FNV-1a fingerprint of the model's exact bits.
+    ///
+    /// Checkpoints store it so that a resume under a different energy
+    /// model is rejected instead of silently mixing results of two
+    /// models.
+    pub fn fingerprint(&self) -> u64 {
+        let bytes: Vec<u8> = [
+            self.mac_pj,
+            self.sram_pj_per_byte,
+            self.psum_pj_per_byte,
+            self.dram_pj_per_byte,
+        ]
+        .iter()
+        .flat_map(|x| x.to_bits().to_le_bytes())
+        .collect();
+        faultsim::rng::fnv1a(&bytes)
+    }
 }
 
 impl Default for EnergyModel {

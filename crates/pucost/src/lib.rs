@@ -17,13 +17,14 @@
 //! on-chip traffic from the dataflows' reuse factors; energy from
 //! per-access 28 nm constants.
 //!
-//! Around the evaluator sit [`EvalCache`], the sharded memo the search
-//! loops share (one probe path behind [`EvalCache::evaluate`],
-//! [`EvalCache::best_dataflow`] and the batch entry
-//! [`EvalCache::evaluate_probes`]; misses run [`evaluate`]), and
-//! [`CompiledEval`], a per-layer precompiled kernel that is bit-identical
-//! to [`evaluate`] and serves as the kernel-speed reference the
-//! benchmarks time.
+//! [`evaluate`] is cheap enough (about 20 ns) that the AutoSeg engine and
+//! allocation call it directly. Around it sit [`EvalCache`], the sharded
+//! memo the co-design searches and the serving layer share (one probe
+//! path behind [`EvalCache::evaluate`], [`EvalCache::best_dataflow`] and
+//! the batch entry [`EvalCache::evaluate_probes`]; misses run
+//! [`evaluate`]), and [`CompiledEval`], a per-layer precompiled kernel
+//! that is bit-identical to [`evaluate`] and serves as the kernel-speed
+//! reference the benchmarks time.
 //!
 //! # Example
 //!

@@ -405,17 +405,21 @@ rm -rf "$FLEET_TMP"
 # analyzer models; the lock-order artifact must still be acyclic.
 grep -q "cycles: none" results/LOCKS.txt
 
-echo "== Tables IV-VI: regenerated MILP case-study CSVs vs results/ =="
+echo "== Tables III-VI and Fig. 15: regenerated release CSVs vs results/ =="
 # The only committed outputs of MipSegmenter: the AlexNet case study's
-# Table VI design comes from the MILP segmentation.
+# Table VI design comes from the MILP segmentation. Fig. 15 and Table III
+# run the engine over the zoo and the FPGA presets (1-2 s each in release).
 TAB_TMP="$(mktemp -d)"
-env -u DSE_SMOKE -u FAULT_PLAN -u OBS_LEVEL SPA_RESULTS_DIR="$TAB_TMP" \
-    cargo run --release --offline -q -p experiments --bin tab0456_alexnet_case > /dev/null
-for csv in tab04_no_pipeline.csv tab05_full_pipeline.csv tab06_spa.csv; do
+for bin in tab0456_alexnet_case fig15_fusion tab03_fpga; do
+    env -u DSE_SMOKE -u FAULT_PLAN -u OBS_LEVEL SPA_RESULTS_DIR="$TAB_TMP" \
+        cargo run --release --offline -q -p experiments --bin "$bin" > /dev/null
+done
+for csv in tab04_no_pipeline.csv tab05_full_pipeline.csv tab06_spa.csv \
+    fig15_fusion_speedup.csv tab03_fpga_baselines.csv tab03_fpga_ours.csv; do
     diff -u "results/$csv" "$TAB_TMP/$csv"
 done
 rm -rf "$TAB_TMP"
-echo "   tables OK: tab04/tab05/tab06 match results/"
+echo "   tables OK: tab03/tab04/tab05/tab06 and fig15 match results/"
 
 echo "== golden results: regenerated CSVs vs results/*.csv =="
 # The harness strips DSE_SMOKE etc. from the binaries it spawns, so the
