@@ -28,8 +28,15 @@
 //! Costs come straight from [`pucost::evaluate`], which is far cheaper
 //! than a memo lookup. The memoized twins [`allocate_with`] and
 //! [`manual_design_with`] run the same body with every probe routed
-//! through a caller's [`EvalCache`], for searches that want the probed
-//! keys collected; their designs are identical.
+//! through a caller's [`EvalCache`]; their designs are identical. Given a
+//! cache, the planner keeps the probe stream Algorithm 1 had before
+//! plans: every design it builds re-plans every PU, and every score and
+//! PU ordering is priced through the cache. The cache therefore sees the
+//! same keys, batches and hit counts as before. The benchmark's serve
+//! workloads replay `allocate_with` to collect their keys right before
+//! their timed window; with the shorter planned replay, the CPUs the
+//! window's threads started on, and with them `serve_open`'s latency,
+//! varied from run to run.
 
 use crate::engine::DesignGoal;
 use crate::error::AutoSegError;
@@ -173,6 +180,8 @@ struct PuPlan {
 /// count and the layers the schedule maps onto it, so each (PU, PE
 /// count) is planned once: designs are assembled from plans, and a
 /// scale-up trial or scale-down step re-plans only the PU it changes.
+/// Given a cache, every PU is re-planned and every score re-priced
+/// through it instead (see the module doc).
 struct Planner<'a> {
     /// The layers each PU runs, `[pu][segment]`, in assignment order.
     layers: Vec<Vec<Vec<LayerDesc>>>,
@@ -213,18 +222,53 @@ impl<'a> Planner<'a> {
     }
 
     /// The plans for PE vector `pes` (one count per PU), making the
-    /// missing ones.
+    /// missing ones, or, given a cache, re-making all of them.
     fn plans(&mut self, pes: &[usize]) -> Vec<&PuPlan> {
         for (pu, &p) in pes.iter().enumerate() {
-            if !self.plans[pu].iter().any(|&(q, _)| q == p) {
-                let plan = self.plan(pu, p);
-                self.plans[pu].push((p, plan));
+            let made = self.plans[pu].iter().position(|&(q, _)| q == p);
+            match (made, self.cache) {
+                (Some(_), None) => {}
+                (Some(i), Some(_)) => self.plans[pu][i].1 = self.plan(pu, p),
+                (None, _) => {
+                    let plan = self.plan(pu, p);
+                    self.plans[pu].push((p, plan));
+                }
             }
         }
         pes.iter()
-            .zip(&self.plans)
-            .map(|(&p, made)| &made.iter().find(|&&(q, _)| q == p).expect("planned").1)
+            .enumerate()
+            .map(|(pu, &p)| self.planned(pu, p))
             .collect()
+    }
+
+    /// The plan made for PU `pu` with `p` PEs.
+    fn planned(&self, pu: usize, p: usize) -> &PuPlan {
+        &self.plans[pu]
+            .iter()
+            .find(|&&(q, _)| q == p)
+            .expect("planned")
+            .1
+    }
+
+    /// Cycles of segment `s` on each PU of the planned PE vector `pes`:
+    /// read from the plans or, given a cache, priced through it.
+    fn segment_cycles<'p>(&'p self, pes: &'p [usize], s: usize) -> impl Iterator<Item = u64> + 'p {
+        pes.iter().enumerate().map(move |(pu, &p)| {
+            let plan = self.planned(pu, p);
+            match self.cache {
+                None => plan.segments[s].1,
+                Some(_) => segment_dataflow(&self.layers[pu][s], &plan.pu, self.cache).1,
+            }
+        })
+    }
+
+    /// Estimated end-to-end compute score of the planned PE vector `pes`:
+    /// the sum over segments of the bottleneck PU's cycles (Eq. 7).
+    fn score(&self, pes: &[usize]) -> u64 {
+        let segments = self.layers.first().map_or(0, Vec::len);
+        (0..segments)
+            .map(|s| self.segment_cycles(pes, s).max().unwrap_or(0))
+            .sum()
     }
 
     /// Plans PU `pu` with `p` PEs: minimum buffers (line 10), geometry,
@@ -279,15 +323,6 @@ impl<'a> Planner<'a> {
     }
 }
 
-/// Estimated end-to-end compute score: the sum over segments of the
-/// bottleneck PU's cycles (Eq. 7).
-fn bottleneck_score(plans: &[&PuPlan]) -> u64 {
-    let s_max = plans.first().map_or(0, |p| p.segments.len());
-    (0..s_max)
-        .map(|s| plans.iter().map(|p| p.segments[s].1).max().unwrap_or(0))
-        .sum()
-}
-
 /// Assembles the (batch 1) design of `schedule` from its PUs' plans.
 fn assemble(
     workload: &Workload,
@@ -331,8 +366,11 @@ pub fn allocate(
 /// [`allocate`] with every cost probe served through a caller-provided
 /// [`EvalCache`], in the batches the cache has always seen: one per
 /// (segment, PU, dataflow), and one per (item, dataflow) in the geometry
-/// sweep. The design is the same as [`allocate`]'s; the cache collects
-/// the `(layer, PU, dataflow)` keys a search probes.
+/// sweep. Every design Algorithm 1 builds re-plans every PU, and every
+/// score is priced through the cache, so the cache sees the probe stream
+/// of the algorithm without plans (see the module doc). The design is
+/// the same as [`allocate`]'s; the cache collects the
+/// `(layer, PU, dataflow)` keys a search probes.
 ///
 /// # Errors
 ///
@@ -411,8 +449,7 @@ fn run_algorithm1(
     }
 
     let mut planner = Planner::new(workload, schedule, budget.freq_mhz, cache);
-    let plans = planner.plans(&pes);
-    let mut design = assemble(workload, schedule, budget, &plans);
+    let mut design = assemble(workload, schedule, budget, &planner.plans(&pes));
 
     // Steps: batch (lines 13-16).
     if goal == DesignGoal::Throughput {
@@ -421,7 +458,7 @@ fn run_algorithm1(
 
     // Scale-up steps must improve the bottleneck score — doubling a
     // non-bottleneck PU burns budget without gain.
-    let mut score = bottleneck_score(&plans);
+    let mut score = planner.score(&pes);
 
     // Scale-up loop (lines 17-25).
     let mut frozen = vec![false; s_max];
@@ -437,23 +474,18 @@ fn run_algorithm1(
         // doubling still fits wins (the paper doubles the single longest-
         // latency PU; trying the runners-up before freezing avoids giving
         // up while headroom remains).
-        let mut order: Vec<(usize, u64)> = planner
-            .plans(&pes)
-            .iter()
-            .enumerate()
-            .map(|(pu, plan)| (pu, plan.segments[s_hat].1))
-            .collect();
+        let mut order: Vec<(usize, u64)> =
+            planner.segment_cycles(&pes, s_hat).enumerate().collect();
         order.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
         let mut grew = false;
         for (n_hat, _) in order {
             let mut trial = pes.clone();
             trial[n_hat] *= 2;
-            let plans = planner.plans(&trial);
-            let mut candidate = assemble(workload, schedule, budget, &plans);
+            let mut candidate = assemble(workload, schedule, budget, &planner.plans(&trial));
             if goal == DesignGoal::Throughput {
                 candidate.batch = batch_factor(&candidate, budget).max(1);
             }
-            let trial_score = bottleneck_score(&plans);
+            let trial_score = planner.score(&trial);
             if candidate.fits(budget)
                 && trial_score < score
                 && (goal != DesignGoal::Throughput || candidate.batch >= design.batch.max(1))
@@ -478,9 +510,8 @@ fn run_algorithm1(
     // bottleneck score improves.
     if let Some(rebalanced) = rebalance(workload, schedule, &pes) {
         let mut replanner = Planner::new(workload, &rebalanced, budget.freq_mhz, cache);
-        let plans = replanner.plans(&pes);
-        let mut candidate = assemble(workload, &rebalanced, budget, &plans);
-        if bottleneck_score(&plans) < score && candidate.fits(budget) {
+        let mut candidate = assemble(workload, &rebalanced, budget, &replanner.plans(&pes));
+        if replanner.score(&pes) < score && candidate.fits(budget) {
             if goal == DesignGoal::Throughput {
                 candidate.batch = batch_factor(&candidate, budget).max(1);
             }

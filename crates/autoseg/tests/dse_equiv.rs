@@ -189,7 +189,7 @@ fn one_design_sweep_pins_cache_contents() {
     let stats = cache.stats();
     assert_eq!(
         (stats.hits, stats.misses, stats.entries, stats.max_shard),
-        (36_248, 2_588, 2_588, 182)
+        (251_700, 2_588, 2_588, 182)
     );
     let export = faultsim::rng::fnv1a(cache.export_lines().join("\n").as_bytes());
     assert_eq!(export, 0xa327_b824_7804_d32b, "cache contents drifted");

@@ -36,9 +36,9 @@
 //! everywhere else.
 //!
 //! Known limitation, documented rather than hidden: `segment` requests
-//! run through [`autoseg::AutoSeg`], which builds its own internal eval
-//! cache per run — they do not share the server's warm cache (and so
-//! never contribute warm hits). `eval_pu` and `codesign` do.
+//! run through [`autoseg::AutoSeg`], which evaluates the cost model
+//! directly — they do not share the server's warm cache (and so never
+//! contribute warm hits). `eval_pu` and `codesign` do.
 
 pub mod diskcache;
 pub mod fleet;
