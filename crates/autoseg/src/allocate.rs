@@ -26,17 +26,16 @@
 //! bottleneck score is read from the plans.
 //!
 //! Costs come straight from [`pucost::evaluate`], which is far cheaper
-//! than a memo lookup. The memoized twins [`allocate_with`] and
-//! [`manual_design_with`] run the same body with every probe routed
-//! through a caller's [`EvalCache`]; their designs are identical. Given a
-//! cache, the planner keeps the probe stream Algorithm 1 had before
-//! plans: every design it builds re-plans every PU, and every score and
-//! PU ordering is priced through the cache. The cache therefore sees the
-//! same keys, batches and hit counts as before. The benchmark's serve
-//! workloads replay `allocate_with` to collect their keys right before
-//! their timed window; with the shorter planned replay, the CPUs the
-//! window's threads started on, and with them `serve_open`'s latency,
-//! varied from run to run.
+//! than a memo lookup. The memoized twin [`allocate_with`] runs the same
+//! body with every probe routed through a caller's [`EvalCache`]; its
+//! designs are identical. Given a cache, the planner keeps the probe
+//! stream Algorithm 1 had before plans: every design it builds re-plans
+//! every PU, and every score and PU ordering is priced through the
+//! cache. The cache therefore sees the same keys, batches and hit counts
+//! as before. The benchmark's serve workloads replay `allocate_with` to
+//! collect their keys right before their timed window; with the shorter
+//! planned replay, the CPUs the window's threads started on, and with
+//! them `serve_open`'s latency, varied from run to run.
 
 use crate::engine::DesignGoal;
 use crate::error::AutoSegError;
@@ -655,32 +654,7 @@ pub fn manual_design(
     pes: &[usize],
     buf_mult: u64,
 ) -> SpaDesign {
-    build_manual(workload, schedule, budget, pes, buf_mult, None)
-}
-
-/// [`manual_design`] with every cost probe served through a
-/// caller-provided [`EvalCache`] (shared across a whole black-box
-/// hardware search), in the batches [`allocate_with`] uses.
-pub fn manual_design_with(
-    workload: &Workload,
-    schedule: &SegmentSchedule,
-    budget: &HwBudget,
-    pes: &[usize],
-    buf_mult: u64,
-    cache: &EvalCache,
-) -> SpaDesign {
-    build_manual(workload, schedule, budget, pes, buf_mult, Some(cache))
-}
-
-fn build_manual(
-    workload: &Workload,
-    schedule: &SegmentSchedule,
-    budget: &HwBudget,
-    pes: &[usize],
-    buf_mult: u64,
-    cache: Option<&EvalCache>,
-) -> SpaDesign {
-    let mut planner = Planner::new(workload, schedule, budget.freq_mhz, cache);
+    let mut planner = Planner::new(workload, schedule, budget.freq_mhz, None);
     let mut d = assemble(workload, schedule, budget, &planner.plans(pes));
     for pu in &mut d.pus {
         pu.act_buf_bytes *= buf_mult.max(1);

@@ -16,15 +16,19 @@
 //!
 //! # Execution model
 //!
-//! Every method runs on a [`DsePool`] and shares one [`EvalCache`] per
-//! search. Candidate evaluation is organized in fixed-size *generations*
+//! Every method runs on a [`DsePool`] and evaluates the cost model
+//! directly: allocation, manual designs and the pipeline simulation call
+//! [`pucost::evaluate`], which costs less than a memo lookup would.
+//! Candidate evaluation is organized in fixed-size *generations*
 //! ([`GENERATION`] candidates): the optimizer proposes a whole generation
 //! (`suggest_batch`), the pool evaluates it concurrently, and observations
 //! are fed back in proposal order (`observe_batch`). Because the
 //! generation size is a constant — not the thread count — and results are
 //! folded in proposal order, the produced [`DesignPoint`] sequence is
 //! bit-identical for any thread count; `threads = 1` *is* the serial
-//! reference path.
+//! reference path. The flight recorder notes each candidate as
+//! `codesign.candidate` (its index) on the worker that evaluates it, under
+//! the caller's trace id.
 //!
 //! The optimizer-backed methods (MIP-Random, MIP-Baye, MIP-Anneal,
 //! Baye-Baye) run one optimizer over one space, shape and hardware
@@ -33,11 +37,11 @@
 //!
 //! # Anytime execution
 //!
-//! Every method runs through [`run_codesign`] / [`run_codesign_with`],
-//! naming its [`Method`]. Handed a [`RunCtl`], a search additionally
-//! supports cooperative deadlines ([`RunStatus::Partial`] instead of lost
-//! work), periodic [`Checkpoint`](crate::Checkpoint)s of kind `codesign`,
-//! and `--resume`, all on the generation loop the engine sweep shares.
+//! Every method runs through [`run_codesign`], naming its [`Method`].
+//! Handed a [`RunCtl`], a search additionally supports cooperative
+//! deadlines ([`RunStatus::Partial`] instead of lost work), periodic
+//! [`Checkpoint`](crate::Checkpoint)s of kind `codesign`, and
+//! `--resume`, all on the generation loop the engine sweep shares.
 //! Optimizer state is persisted as one [`bayesopt::Transcript`] and
 //! rebuilt by *replay* — the fresh optimizer re-proposes every recorded
 //! generation and re-observes the recorded values, which restores its
@@ -48,7 +52,7 @@
 //! same [`DesignPoint`] sequence as an uninterrupted one, which
 //! `tests/resume_equiv.rs` pins down.
 
-use crate::allocate::{allocate_with, manual_design_with};
+use crate::allocate::{allocate, manual_design};
 use crate::dse::checkpoint::{f64_from_hex, f64_to_hex, CheckpointError};
 use crate::dse::control::{RunCtl, RunStatus};
 use crate::dse::sweep::{Sections, Sweep};
@@ -58,9 +62,9 @@ use crate::error::AutoSegError;
 use crate::segment::{BayesSegmenter, ChainDpSegmenter, Segmenter};
 use bayesopt::{Optimizer, RandomSearch, SearchSpace, SimulatedAnnealing, Tpe, Transcript};
 use nnmodel::{Graph, Workload};
-use pucost::EvalCache;
+use pucost::{EnergyModel, EvalCache};
 use spa_arch::{HwBudget, SegmentSchedule};
-use spa_sim::simulate_spa_with;
+use spa_sim::simulate_spa;
 
 /// Candidates proposed (and evaluated concurrently) per optimizer
 /// generation. A constant independent of the worker count, so search
@@ -225,12 +229,11 @@ fn point(
     budget: &HwBudget,
     method: &'static str,
     shape: (usize, usize),
-    cache: &EvalCache,
 ) -> Option<DesignPoint> {
     if !design.fits(budget) || design.segment_routings(workload).is_err() {
         return None;
     }
-    let r = simulate_spa_with(workload, design, cache);
+    let r = simulate_spa(workload, design);
     Some(DesignPoint {
         latency_s: r.seconds,
         energy_pj: r.energy.total_pj(),
@@ -266,7 +269,6 @@ struct Ctx<'a> {
     budgets: &'a CodesignBudgets,
     method: Method,
     pool: &'a DsePool,
-    cache: &'a EvalCache,
     ctl: &'a RunCtl,
     /// Inner segmentation-search iterations (Baye-Baye only; 0 otherwise).
     inner: usize,
@@ -345,7 +347,7 @@ impl Ctx<'_> {
                 ("hw_iters", self.budgets.hw_iters.to_string()),
                 ("seg_iters", self.budgets.seg_iters.to_string()),
             ],
-            self.cache.model_fingerprint(),
+            EnergyModel::tsmc28().fingerprint(),
             self.ctl,
             planned,
         )
@@ -397,6 +399,7 @@ fn eval_candidate(
     k: usize,
     sample: &[usize],
 ) -> Option<DesignPoint> {
+    obs::flight::note("codesign.candidate", k as u64, 0);
     let choice = &choices[sample[0]];
     let (n, s) = choice.shape;
     let pes: Vec<usize> = sample[1..=n].iter().map(|&e| 1usize << e).collect();
@@ -410,14 +413,13 @@ fn eval_candidate(
             &searched
         }
     };
-    let design = manual_design_with(ctx.workload, schedule, ctx.budget, &pes, mult, ctx.cache);
+    let design = manual_design(ctx.workload, schedule, ctx.budget, &pes, mult);
     point(
         ctx.workload,
         &design,
         ctx.budget,
         ctx.method.label(),
         choice.shape,
-        ctx.cache,
     )
 }
 
@@ -542,7 +544,12 @@ fn run_chunked(ctx: &Ctx<'_>, all_shapes: &[(usize, usize)]) -> Result<CodesignR
         |st, g| {
             let evals = ctx.pool.par_map(
                 chunks[g as usize],
-                |_, &(n, s)| -> Result<Option<DesignPoint>, AutoSegError> {
+                |i, &(n, s)| -> Result<Option<DesignPoint>, AutoSegError> {
+                    obs::flight::note(
+                        "codesign.candidate",
+                        (g as usize * GENERATION + i) as u64,
+                        0,
+                    );
                     let schedule = if ctx.method == Method::BayeHeuristic {
                         let bayes = BayesSegmenter::new(ctx.budgets.seed, per_shape);
                         match bayes.segment(ctx.workload, n, s) {
@@ -555,20 +562,14 @@ fn run_chunked(ctx: &Ctx<'_>, all_shapes: &[(usize, usize)]) -> Result<CodesignR
                             Err(_) => return Ok(None),
                         }
                     };
-                    let design = allocate_with(
-                        ctx.workload,
-                        &schedule,
-                        ctx.budget,
-                        DesignGoal::Latency,
-                        ctx.cache,
-                    )?;
+                    let design =
+                        allocate(ctx.workload, &schedule, ctx.budget, DesignGoal::Latency)?;
                     Ok(point(
                         ctx.workload,
                         &design,
                         ctx.budget,
                         ctx.method.label(),
                         (n, s),
-                        ctx.cache,
                     ))
                 },
             );
@@ -587,24 +588,8 @@ fn run_chunked(ctx: &Ctx<'_>, all_shapes: &[(usize, usize)]) -> Result<CodesignR
     })
 }
 
-/// Runs one co-design `method` under an anytime policy, with a pool and
-/// cache from `budgets`. See [`run_codesign_with`].
-///
-/// # Errors
-///
-/// See [`run_codesign_with`].
-pub fn run_codesign(
-    model: &Graph,
-    budget: &HwBudget,
-    budgets: &CodesignBudgets,
-    method: Method,
-    ctl: &RunCtl,
-) -> Result<CodesignRun, AutoSegError> {
-    run_codesign_with(model, budget, budgets, method, &budgets.pool(), &EvalCache::default(), ctl)
-}
-
-/// The generation-granular anytime driver behind every co-design method,
-/// on an explicit pool and cost cache.
+/// The generation-granular anytime driver behind every co-design method:
+/// runs one `method` on the pool `budgets.pool()` sizes.
 ///
 /// With `RunCtl::none()` the search runs every planned generation and
 /// returns `Complete`. A ctl adds deadline / generation-budget stops
@@ -619,13 +604,11 @@ pub fn run_codesign(
 /// [`AutoSegError::Checkpoint`] when a checkpoint cannot be written, a
 /// resume source is corrupt/torn, or its recorded configuration does not
 /// match this run.
-pub fn run_codesign_with(
+pub fn run_codesign(
     model: &Graph,
     budget: &HwBudget,
     budgets: &CodesignBudgets,
     method: Method,
-    pool: &DsePool,
-    cache: &EvalCache,
     ctl: &RunCtl,
 ) -> Result<CodesignRun, AutoSegError> {
     let _span = obs::span!("codesign.run", method = method.label(), model = model.name());
@@ -639,14 +622,14 @@ pub fn run_codesign_with(
         });
     }
     let inner = (budgets.seg_iters / budgets.hw_iters.max(1)).max(4);
+    let pool = budgets.pool();
     let ctx = Ctx {
         workload: &workload,
         model_name: model.name(),
         budget,
         budgets,
         method,
-        pool,
-        cache,
+        pool: &pool,
         ctl,
         inner,
     };
@@ -654,6 +637,29 @@ pub fn run_codesign_with(
         Method::MipHeuristic | Method::BayeHeuristic => run_chunked(&ctx, &all_shapes),
         _ => run_optimized(&ctx, &all_shapes),
     }
+}
+
+/// [`run_codesign`] at `pool.threads()` workers. `cache` is unused: the
+/// searches evaluate the cost model directly. The signature stays for
+/// callers written against the memoized driver.
+///
+/// # Errors
+///
+/// See [`run_codesign`].
+pub fn run_codesign_with(
+    model: &Graph,
+    budget: &HwBudget,
+    budgets: &CodesignBudgets,
+    method: Method,
+    pool: &DsePool,
+    _cache: &EvalCache,
+    ctl: &RunCtl,
+) -> Result<CodesignRun, AutoSegError> {
+    let budgets = CodesignBudgets {
+        threads: pool.threads(),
+        ..*budgets
+    };
+    run_codesign(model, budget, &budgets, method, ctl)
 }
 
 #[cfg(test)]

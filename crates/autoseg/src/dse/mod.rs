@@ -16,9 +16,9 @@
 //!   one generation loop the engine sweep (checkpoint kind `engine`) and
 //!   the co-design methods (kind `codesign`) run on.
 //!
-//! The engine sweep's workers evaluate the cost model directly. The
-//! co-design searches still share one memoized [`pucost::EvalCache`] per
-//! search across their pool (see [`crate::codesign`]).
+//! The workers of the engine sweep and of the co-design searches
+//! evaluate the cost model directly; nothing is memoized across
+//! candidates.
 
 pub mod checkpoint;
 pub mod control;

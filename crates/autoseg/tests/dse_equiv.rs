@@ -4,8 +4,7 @@
 //! path (no threads are spawned), so these tests pin parallel == serial.
 
 use autoseg::allocate::allocate_with;
-use autoseg::codesign::{run_codesign, run_codesign_with, CodesignBudgets, DesignPoint, Method};
-use autoseg::dse::DsePool;
+use autoseg::codesign::{run_codesign, CodesignBudgets, DesignPoint, Method};
 use autoseg::segment::{ChainDpSegmenter, Segmenter};
 use autoseg::{AutoSeg, DesignGoal, RunCtl};
 use nnmodel::{zoo, Workload};
@@ -21,23 +20,18 @@ fn budgets() -> CodesignBudgets {
     }
 }
 
-/// Runs all six methods on one pool, each with a fresh cache.
-fn run_all(pool: &DsePool) -> Vec<(&'static str, Vec<DesignPoint>)> {
+/// Runs all six methods on a pool of `threads` workers.
+fn run_all(threads: usize) -> Vec<(&'static str, Vec<DesignPoint>)> {
     let model = zoo::alexnet_conv();
     let budget = HwBudget::nvdla_small();
-    let b = budgets();
+    let b = CodesignBudgets {
+        threads,
+        ..budgets()
+    };
     let run = |method| {
-        run_codesign_with(
-            &model,
-            &budget,
-            &b,
-            method,
-            pool,
-            &EvalCache::default(),
-            &RunCtl::none(),
-        )
-        .unwrap()
-        .points
+        run_codesign(&model, &budget, &b, method, &RunCtl::none())
+            .unwrap()
+            .points
     };
     vec![
         ("mip-heuristic", run(Method::MipHeuristic)),
@@ -51,12 +45,12 @@ fn run_all(pool: &DsePool) -> Vec<(&'static str, Vec<DesignPoint>)> {
 
 #[test]
 fn parallel_codesign_matches_serial_reference() {
-    let serial = run_all(&DsePool::new(1));
+    let serial = run_all(1);
     for (name, pts) in &serial {
         assert!(!pts.is_empty(), "{name} produced no points");
     }
     for threads in [2, 4] {
-        let parallel = run_all(&DsePool::new(threads));
+        let parallel = run_all(threads);
         for ((name, s), (_, p)) in serial.iter().zip(&parallel) {
             assert_eq!(s, p, "{name} diverged at {threads} threads");
         }
@@ -65,8 +59,8 @@ fn parallel_codesign_matches_serial_reference() {
 
 #[test]
 fn public_entry_points_honor_the_threads_field() {
-    // The plain (non-`_with`) entry points build their pool from
-    // `budgets.threads`; the point clouds must not depend on its value.
+    // `run_codesign` builds its pool from `budgets.threads`; the point
+    // clouds must not depend on its value.
     let model = zoo::alexnet_conv();
     let budget = HwBudget::nvdla_small();
     let serial = run_codesign(
@@ -91,44 +85,6 @@ fn public_entry_points_honor_the_threads_field() {
     .unwrap()
     .points;
     assert_eq!(serial, parallel);
-}
-
-#[test]
-fn shared_cache_reuse_does_not_change_points() {
-    // Re-running a search on an already-warm cache must return the same
-    // points while serving (almost) everything from memo.
-    let model = zoo::alexnet_conv();
-    let budget = HwBudget::nvdla_small();
-    let pool = DsePool::new(2);
-    let cache = EvalCache::default();
-    let heuristic = || {
-        run_codesign_with(
-            &model,
-            &budget,
-            &budgets(),
-            Method::MipHeuristic,
-            &pool,
-            &cache,
-            &RunCtl::none(),
-        )
-        .unwrap()
-        .points
-    };
-    let cold = heuristic();
-    let (cold_hits, cold_misses) = (cache.hits(), cache.misses());
-    let warm = heuristic();
-    assert_eq!(cold, warm);
-    assert_eq!(
-        cache.misses(),
-        cold_misses,
-        "warm rerun should add no new cache entries"
-    );
-    assert!(cache.hits() > cold_hits);
-    assert!(
-        cache.hit_rate() > 0.5,
-        "hit rate {:.3} after warm rerun",
-        cache.hit_rate()
-    );
 }
 
 #[test]

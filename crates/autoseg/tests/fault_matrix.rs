@@ -7,9 +7,6 @@
 //!
 //! * `dse.worker`  — a pool worker dies mid-sweep; abandoned candidates
 //!   are re-evaluated inline after the join.
-//! * `cache.poison` — a cost-cache shard mutex is poisoned as a crashed
-//!   thread would leave it; lookups and inserts recover via
-//!   `into_inner`.
 //! * `ckpt.torn`   — a checkpoint write is cut short mid-file; the torn
 //!   file is detected at load as a typed `Corrupt`, and a clean re-run
 //!   heals it.
@@ -145,28 +142,6 @@ fn mip_node_death_mid_branch_and_bound_recovers_bit_identically() {
             >= report.counter("fault.injected").unwrap_or(0),
         "every injected node death must be recovered"
     );
-    obs::set_level(obs::Level::Off);
-}
-
-#[test]
-fn cache_poison_recovers_and_results_stay_correct() {
-    let _x = faultsim::exclusive();
-    obs::set_sink_memory();
-    obs::set_level(obs::Level::Summary);
-    obs::reset();
-    let clean = run(Method::MipHeuristic, 2, &RunCtl::none()).unwrap();
-    faultsim::arm("cache.poison@3").expect("plan parses");
-    let faulted = run(Method::MipHeuristic, 2, &RunCtl::none()).unwrap();
-    let injected = faultsim::injected_count();
-    faultsim::disarm();
-    assert_eq!(
-        faulted.points, clean.points,
-        "a poisoned cache shard changed results"
-    );
-    assert_eq!(injected, 1, "exactly the third miss poisons");
-    let report = obs::snapshot();
-    assert!(report.counter("fault.injected").unwrap_or(0) >= 1);
-    assert!(report.counter("fault.recovered").unwrap_or(0) >= 1);
     obs::set_level(obs::Level::Off);
 }
 

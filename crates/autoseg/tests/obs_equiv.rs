@@ -8,11 +8,9 @@
 //! `obs::set_level` is process-global, so these tests must not share a
 //! process with tests assuming the default `off` level.
 
-use autoseg::codesign::{run_codesign_with, CodesignBudgets, DesignPoint, Method};
-use autoseg::dse::DsePool;
+use autoseg::codesign::{run_codesign, CodesignBudgets, DesignPoint, Method};
 use autoseg::{AutoSeg, RunCtl};
 use nnmodel::zoo;
-use pucost::EvalCache;
 use spa_arch::HwBudget;
 
 /// The obs level and sink are process-global: tests serialize on this.
@@ -27,14 +25,13 @@ fn budgets() -> CodesignBudgets {
     }
 }
 
-/// The bench_dse workload: three methods on one shared cache.
-fn run_codesign(pool: &DsePool) -> Vec<DesignPoint> {
+/// The bench_dse workload: three methods on a 2-thread pool.
+fn three_methods() -> Vec<DesignPoint> {
     let model = zoo::alexnet_conv();
     let budget = HwBudget::nvdla_small();
     let b = budgets();
-    let cache = EvalCache::default();
     let run = |method| {
-        run_codesign_with(&model, &budget, &b, method, pool, &cache, &RunCtl::none())
+        run_codesign(&model, &budget, &b, method, &RunCtl::none())
             .unwrap()
             .points
     };
@@ -53,8 +50,7 @@ fn tracing_on_vs_off_is_bit_identical() {
     obs::set_level(obs::Level::Off);
     obs::reset();
     let _ = obs::take_memory_lines();
-    let pool = DsePool::new(2);
-    let off = run_codesign(&pool);
+    let off = three_methods();
     assert!(!off.is_empty());
     assert!(
         obs::snapshot().is_empty(),
@@ -65,12 +61,11 @@ fn tracing_on_vs_off_is_bit_identical() {
         obs::set_level(level);
         obs::reset();
         let _ = obs::take_memory_lines();
-        let on = run_codesign(&pool);
+        let on = three_methods();
         assert_eq!(off, on, "tracing at {level:?} changed search results");
 
         let report = obs::snapshot();
         assert!(!report.is_empty(), "instrumentation recorded at {level:?}");
-        assert!(report.counter("pucost.cache.misses").unwrap_or(0) > 0);
         assert!(report.counter("dse.candidates").unwrap_or(0) > 0);
         // The "mip-*" methods segment with the exact chain DP, not the
         // MILP solver, so mip.* counters stay 0 here; the pipeline
@@ -98,12 +93,11 @@ fn trace_ids_and_flight_recorder_are_bit_invisible() {
     obs::set_sink_memory();
     obs::set_level(obs::Level::Off);
     obs::reset();
-    let pool = DsePool::new(2);
 
     // Reference: recorder off, no trace id set.
     obs::flight::configure(0);
     obs::set_trace(0);
-    let off = run_codesign(&pool);
+    let off = three_methods();
     assert!(!off.is_empty());
 
     // Recorder on, under an active request trace id (the serving-layer
@@ -114,18 +108,20 @@ fn trace_ids_and_flight_recorder_are_bit_invisible() {
     obs::flight::reset();
     {
         let _t = obs::TraceGuard::enter(77);
-        let on = run_codesign(&pool);
+        let on = three_methods();
         assert_eq!(off, on, "flight recorder + trace ids changed search results");
     }
     let dump = obs::flight::drain();
-    let probes: Vec<_> = dump
+    let candidates: Vec<_> = dump
         .events
         .iter()
-        .filter(|e| e.name == "cache.batch_probe")
+        .filter(|e| e.name == "codesign.candidate")
         .collect();
-    assert!(!probes.is_empty(), "cache probes were noted");
+    assert!(!candidates.is_empty(), "co-design candidates were noted");
+    // The 2-thread pool evaluates every generation of two or more
+    // candidates on spawned workers, whose trace id starts at 0.
     assert!(
-        probes.iter().any(|e| e.trace == 77),
+        candidates.iter().all(|e| e.trace == 77),
         "pool workers inherit the caller's trace id"
     );
     assert_eq!(obs::current_trace(), 0, "TraceGuard restored the idle state");

@@ -3,10 +3,14 @@
 //! stack: N concurrent clients pipeline `eval_pu` requests through three
 //! phases —
 //!
-//! * **cold** — fresh server, empty cache: every probe misses;
-//! * **warm** — same server, same request set: in-memory cache hits;
-//! * **restart** — server shut down (persisting its cache) and rehosted
-//!   on the same cache dir: hits come from the disk-warmed tier.
+//! * **cold** — a fresh server;
+//! * **warm** — the same server, the same request set;
+//! * **restart** — the server shut down and rehosted, the same request
+//!   set again.
+//!
+//! The server evaluates the cost model for every request, so no phase
+//! differs from another by cache state; the phases differ only by how
+//! long the server has run.
 //!
 //! Per-request latency is measured client-side (submit to terminal
 //! response, including queue wait) into [`obs::HdrHist`] quantile
@@ -20,9 +24,9 @@
 //! A fourth stage benchmarks the **fleet**: an in-process [`serve::Fleet`]
 //! of `BENCH_SERVE_FLEET` shard processes (default 3) driven through the
 //! router — cold/warm/restart phases with per-shard terminal counts (from
-//! the `shard` response tag), a SIGKILL + snapshot-warmed respawn between
-//! warm and restart, and an overload burst past the router's admission
-//! watermark for the shed rate. Skipped (with a `fleet:null` report
+//! the `shard` response tag), a SIGKILL and respawn of the busiest shard
+//! between warm and restart, and an overload burst past the router's
+//! admission watermark for the shed rate. Skipped (with a `fleet:null` report
 //! field) only when no `spa-serve` binary is resolvable.
 //!
 //! Writes `results/BENCH_serve.json`. Knobs: `BENCH_SERVE_CLIENTS`
@@ -56,7 +60,7 @@ fn env_parse(name: &str, default: usize) -> usize {
 }
 
 /// One deterministic `eval_pu` request line. `key` selects the layer
-/// shape: equal keys are cache-equal probes, distinct keys are cold.
+/// shape (48 distinct shapes).
 fn eval_line(id: u64, key: usize) -> String {
     let k = key % 48;
     format!(
@@ -71,18 +75,14 @@ fn eval_line(id: u64, key: usize) -> String {
 
 /// Hosts `serve::run_socket` on its own thread. The server is stopped by
 /// sending a `shutdown` request; the returned handle joins once the
-/// socket loop has drained and flushed the persistent cache.
-fn host(sock: PathBuf, cache_dir: PathBuf) -> std::thread::JoinHandle<()> {
+/// socket loop has drained.
+fn host(sock: PathBuf) -> std::thread::JoinHandle<()> {
     // Host thread only boots the server; trace ids are minted per request
     // inside serve's execute path. lint: allow(untraced-spawn)
     std::thread::spawn(move || {
         // Stopped via the protocol, never via this flag.
         static NEVER: AtomicBool = AtomicBool::new(false);
-        let cfg = ServeConfig {
-            cache_dir: Some(cache_dir),
-            ..ServeConfig::from_env()
-        };
-        if let Err(e) = serve::run_socket(&sock, cfg, &NEVER) {
+        if let Err(e) = serve::run_socket(&sock, ServeConfig::from_env(), &NEVER) {
             eprintln!("bench_serve: host failed: {e}");
             std::process::exit(1);
         }
@@ -312,9 +312,9 @@ fn fleet_phase_json(name: &str, dur: Duration, h: &HdrHist, per_shard: &[u64]) -
     (key, base)
 }
 
-/// The fleet benchmark: cold/warm phases, a snapshot exchange, SIGKILL
-/// and respawn of the hottest shard, a restart phase measuring the
-/// snapshot-warmed hit rate, and an overload burst for the shed rate.
+/// The fleet benchmark: cold/warm phases, SIGKILL and respawn of the
+/// hottest shard, a restart phase, and an overload burst for the shed
+/// rate.
 fn fleet_bench(shards: usize, sessions: usize, reqs: usize) -> Json {
     use serve::fleet::{Fleet, FleetConfig};
     let dir = std::env::temp_dir().join(format!("bench_serve_fleet_{}", std::process::id()));
@@ -322,7 +322,6 @@ fn fleet_bench(shards: usize, sessions: usize, reqs: usize) -> Json {
     let mut cfg = FleetConfig::new(&dir);
     cfg.shards = shards;
     cfg.probe_ms = 25;
-    cfg.snapshot_ms = 0; // exchanged explicitly before the kill
     cfg.soft_cap = 8; // sequential probes stay under; the burst does not
     let fleet = match Fleet::start(cfg) {
         Ok(f) => f,
@@ -338,10 +337,8 @@ fn fleet_bench(shards: usize, sessions: usize, reqs: usize) -> Json {
     let (warm_d, warm_h, warm_s) = drive_fleet(router, sessions, reqs, key_of);
     println!("   fleet warm:    {:>8.3} s, p99 {} us", warm_d.as_secs_f64(), warm_h.p99());
 
-    // Hot restart: persist the union snapshot everywhere, SIGKILL the
-    // shard that answered the most probes, and let the probe loop
-    // respawn it warm.
-    let merged_entries = fleet.exchange_now();
+    // Hot restart: SIGKILL the shard that answered the most probes, and
+    // let the probe loop respawn it.
     let victim = cold_s
         .iter()
         .enumerate()
@@ -360,30 +357,6 @@ fn fleet_bench(shards: usize, sessions: usize, reqs: usize) -> Json {
         restart_d.as_secs_f64(),
         restart_h.p99()
     );
-    // The respawned victim's own counters cover only the restart phase:
-    // its probes must have come from the merged snapshot, not recompute.
-    let vstatus = rpc(
-        &fleet.shard_socket(victim),
-        "{\"v\":1,\"id\":9101,\"req\":\"status\"}",
-    );
-    let vcache = vstatus
-        .get("result")
-        .and_then(|r| r.get("cache"))
-        .cloned()
-        .unwrap_or(Json::Null);
-    let warm_hits = vcache.get("warm_hits").and_then(Json::as_u64).unwrap_or(0);
-    let probes = vcache.get("hits").and_then(Json::as_u64).unwrap_or(0)
-        + vcache.get("misses").and_then(Json::as_u64).unwrap_or(0)
-        + warm_hits;
-    let warm_hit_rate = if probes == 0 {
-        0.0
-    } else {
-        warm_hits as f64 / probes as f64 // counters are small; exact
-    };
-    println!(
-        "   fleet restart warm-hit rate (shard {victim}): {warm_hit_rate:.3} ({warm_hits}/{probes})"
-    );
-
     // Overload: one session pipelines far past the hard watermark; the
     // router must answer every line, shedding the excess typed.
     let burst = 64usize;
@@ -437,16 +410,7 @@ fn fleet_bench(shards: usize, sessions: usize, reqs: usize) -> Json {
                 .collect(),
             ),
         ),
-        (
-            "restart",
-            obj(vec![
-                ("victim", Json::from(victim)),
-                ("merged_entries", Json::from(merged_entries)),
-                ("warm_hits", Json::from(warm_hits)),
-                ("probes", Json::from(probes)),
-                ("warm_hit_rate", Json::from(warm_hit_rate)),
-            ]),
-        ),
+        ("restart", obj(vec![("victim", Json::from(victim))])),
         (
             "overload",
             obj(vec![
@@ -490,10 +454,9 @@ fn main() {
     let _ = std::fs::remove_dir_all(&tmp);
     std::fs::create_dir_all(&tmp).expect("create temp dir");
     let sock = tmp.join("serve.sock");
-    let cache_dir = tmp.join("cache");
 
     println!("== serve benchmark: {clients} clients x {reqs} requests per phase ==");
-    let handle = host(sock.clone(), cache_dir.clone());
+    let handle = host(sock.clone());
     // Distinct keys across the whole cold fan-in would need 24+ shapes;
     // reuse within the phase is realistic (concurrent clients probing
     // overlapping candidates) and the warm phase repeats it exactly.
@@ -525,8 +488,8 @@ fn main() {
     let _ = rpc(&sock, "{\"v\":1,\"id\":9002,\"req\":\"shutdown\"}");
     handle.join().expect("host thread");
 
-    // Restart on the same cache dir: the disk tier warms the cache.
-    let handle = host(sock.clone(), cache_dir.clone());
+    // Restart: a new server on the same socket path.
+    let handle = host(sock.clone());
     let (restart_d, restart_h, restart_traced) = drive(&sock, clients, reqs, |g| g);
     println!(
         "   restart: {:>8.3} s, p99 {} us",
@@ -549,17 +512,6 @@ fn main() {
     assert_eq!(warm_traced, total, "warm responses missing trace ids");
     assert_eq!(restart_traced, total, "restart responses missing trace ids");
 
-    let cache = sresult.get("cache").cloned().unwrap_or(Json::Null);
-    let warm_hits = cache.get("warm_hits").and_then(Json::as_u64).unwrap_or(0);
-    let probes = cache.get("hits").and_then(Json::as_u64).unwrap_or(0)
-        + cache.get("misses").and_then(Json::as_u64).unwrap_or(0);
-    let warm_hit_rate = if probes == 0 {
-        0.0
-    } else {
-        warm_hits as f64 / probes as f64 // counters are small; exact
-    };
-    println!("   restart warm-hit rate: {:.3} ({warm_hits}/{probes} probes)", warm_hit_rate);
-
     let queue_wait = mresult
         .get("stages")
         .and_then(|s| s.get("queue_wait_us"))
@@ -579,7 +531,6 @@ fn main() {
         ("requests_per_client", Json::from(reqs)),
         ("phases", phases),
         ("queue_wait_us", queue_wait),
-        ("warm_hit_rate", Json::from(warm_hit_rate)),
         ("overhead", obj(vec![
             ("baseline_s", Json::from(best_off)),
             ("telemetry_s", Json::from(best_on)),

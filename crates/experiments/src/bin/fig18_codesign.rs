@@ -3,11 +3,10 @@
 //! MIP-Baye, Baye-Heuristic and Baye-Baye — for AlexNet and MobileNetV1
 //! under two hardware budgets.
 
-use autoseg::codesign::{run_codesign_with, CodesignBudgets, DesignPoint, Method};
+use autoseg::codesign::{run_codesign, CodesignBudgets, DesignPoint, Method};
 use autoseg::RunCtl;
 use experiments::{codesign_budgets, f3, print_table, short_name, write_csv};
 use nnmodel::zoo;
-use pucost::EvalCache;
 use spa_arch::HwBudget;
 
 fn main() {
@@ -22,13 +21,12 @@ fn main() {
         seed: 7,
         threads: 0,
     });
-    let pool = iters.pool();
     println!(
         "   ({} hw iters, {} seg iters, seed {}, {} threads)",
         iters.hw_iters,
         iters.seg_iters,
         iters.seed,
-        pool.threads()
+        iters.pool().threads()
     );
 
     let mut scatter: Vec<Vec<String>> = Vec::new();
@@ -36,9 +34,6 @@ fn main() {
     for model_name in models {
         let model = zoo::by_name(model_name).expect("zoo model");
         for budget in &budgets {
-            // One cache per (model, budget) pair: identical layer/PU
-            // probes recur heavily across the five methods.
-            let cache = EvalCache::default();
             let runs: Vec<Vec<DesignPoint>> = [
                 Method::MipHeuristic,
                 Method::MipRandom,
@@ -48,17 +43,9 @@ fn main() {
             ]
             .into_iter()
             .map(|method| {
-                run_codesign_with(
-                    &model,
-                    budget,
-                    &iters,
-                    method,
-                    &pool,
-                    &cache,
-                    &RunCtl::none(),
-                )
-                .expect("run")
-                .points
+                run_codesign(&model, budget, &iters, method, &RunCtl::none())
+                    .expect("run")
+                    .points
             })
             .collect();
             for pts in &runs {
@@ -84,17 +71,6 @@ fn main() {
                     f3(max_e / 1e10),
                 ]);
             }
-            let stats = cache.stats();
-            println!(
-                "   cache [{} / {}]: {} entries, {:.1}% hit rate ({} hits / {} misses)",
-                short_name(model_name),
-                budget.name,
-                stats.entries,
-                stats.hit_rate * 100.0,
-                stats.hits,
-                stats.misses
-            );
-            stats.publish("fig18.cache");
         }
     }
     let header = ["model", "budget", "method", "points", "best ms", "max E (1e10 pJ)"];

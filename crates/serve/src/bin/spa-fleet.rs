@@ -1,7 +1,7 @@
 //! `spa-fleet` — the sharded serving front end.
 //!
 //! Spawns `FLEET_SHARDS` `spa-serve` worker processes (one unix socket
-//! and one warm-cache directory each), consistent-hashes work requests
+//! and one checkpoint directory each), consistent-hashes work requests
 //! across them, and fronts the whole fleet on one unix socket speaking
 //! the same JSONL v1 protocol as a single `spa-serve`. Shard crashes
 //! are absorbed: the supervisor respawns dead shards, the router
@@ -14,10 +14,9 @@
 //!
 //! Environment: `FLEET_SOCKET`, `FLEET_DIR`, `FLEET_SHARDS`,
 //! `FLEET_MAX_INFLIGHT` (soft shed watermark; hard is 2×),
-//! `FLEET_VNODES`, `FLEET_PROBE_MS`, `FLEET_SNAPSHOT_MS` (0 disables
-//! snapshot exchange), `SPA_SERVE_BIN` (shard binary override). Shards
-//! inherit the process env plus their own `SERVE_CACHE_DIR` /
-//! `SERVE_MAX_INFLIGHT`.
+//! `FLEET_VNODES`, `FLEET_PROBE_MS`, `SPA_SERVE_BIN` (shard binary
+//! override). Shards inherit the process env plus their own
+//! `SERVE_CACHE_DIR` / `SERVE_MAX_INFLIGHT`.
 
 use serve::{run_fleet_socket, Fleet, FleetConfig};
 use std::path::{Path, PathBuf};
@@ -26,8 +25,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: spa-fleet --socket PATH --dir DIR [--shards N]\n\
          (FLEET_SOCKET / FLEET_DIR / FLEET_SHARDS are equivalent)\n\
-         env: FLEET_MAX_INFLIGHT, FLEET_VNODES, FLEET_PROBE_MS,\n\
-         FLEET_SNAPSHOT_MS, SPA_SERVE_BIN"
+         env: FLEET_MAX_INFLIGHT, FLEET_VNODES, FLEET_PROBE_MS, SPA_SERVE_BIN"
     );
     std::process::exit(2);
 }

@@ -1,9 +1,10 @@
-//! The persistent warm tier of the PU-cost cache.
+//! A disk snapshot of the PU-cost cache.
 //!
 //! A [`DiskCache`] snapshots an in-memory [`pucost::EvalCache`] to disk
-//! in the PR4 checkpoint format (kind `evalcache`) and restores it on
-//! the next server start, so repeated and cross-run requests warm-start
-//! instead of recomputing. Three invariants:
+//! in the checkpoint format (kind `evalcache`) and restores it into
+//! another cache. `spa-serve` evaluates the cost model directly and
+//! loads no snapshot; the type stays while the repo benchmark still
+//! writes one. Three invariants:
 //!
 //! * **Versioned**: the snapshot records the bound energy model's
 //!   fingerprint ([`pucost::EvalCache::model_fingerprint`]); a snapshot

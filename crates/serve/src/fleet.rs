@@ -1,37 +1,26 @@
-//! The `spa-fleet` supervisor: shard processes, health probes, hot
-//! restart, and warm-cache snapshot exchange.
+//! The `spa-fleet` supervisor: shard processes, health probes and hot
+//! restart.
 //!
 //! A [`Fleet`] owns N `spa-serve` child processes (one unix socket and
-//! one cache directory each), a [`Router`] fanning requests across
-//! them, and two maintenance threads:
-//!
-//! * the **probe** loop (`FLEET_PROBE_MS`): reaps dead shard children
-//!   and respawns them in place (hot restart — the router's pending
-//!   table re-sends in-flight work to the new process, which resumes
-//!   codesigns from their server-side checkpoints), and runs router
-//!   housekeeping (re-sending lines an injected fault or write error
-//!   left off the wire);
-//! * the **snapshot** loop (`FLEET_SNAPSHOT_MS`): asks every live shard
-//!   to `flush` its warm cache, then merges the per-shard `evalcache`
-//!   checkpoints into a fleet-wide union written back to every shard
-//!   directory — so a restarted shard warms up with what the *whole
-//!   fleet* has learned, not just its own last snapshot.
+//! one checkpoint directory each), a [`Router`] fanning requests across
+//! them, and one maintenance thread, the **probe** loop
+//! (`FLEET_PROBE_MS`): it reaps dead shard children and respawns them in
+//! place (hot restart — the router's pending table re-sends in-flight
+//! work to the new process, which resumes codesigns from their
+//! server-side checkpoints), and runs router housekeeping (re-sending
+//! lines an injected fault or write error left off the wire).
 //!
 //! Shard processes run [`FleetConfig::server_bin`] when set, else the
 //! binary [`resolve_server_bin`] finds: `SPA_SERVE_BIN`, or a `spa-serve`
 //! next to the current executable.
 
-use std::io::{BufRead, BufReader, Write as _};
-use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
-use crate::diskcache;
 use crate::router::{ProcInfo, Router, RouterConfig};
-use autoseg::dse::checkpoint::Checkpoint;
 
 /// Signal numbers used for shard kills (Linux).
 const SIGTERM: i32 = 15;
@@ -51,7 +40,7 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 pub struct FleetConfig {
     /// Number of `spa-serve` shard processes (`FLEET_SHARDS`).
     pub shards: usize,
-    /// Root directory for shard sockets and cache dirs (`FLEET_DIR`).
+    /// Root directory for shard sockets and checkpoint dirs (`FLEET_DIR`).
     pub dir: PathBuf,
     /// Router soft shed watermark (`FLEET_MAX_INFLIGHT`); hard is 2×.
     pub soft_cap: usize,
@@ -59,8 +48,6 @@ pub struct FleetConfig {
     pub vnodes: usize,
     /// Probe/housekeeping period in ms (`FLEET_PROBE_MS`).
     pub probe_ms: u64,
-    /// Snapshot-exchange period in ms; 0 disables (`FLEET_SNAPSHOT_MS`).
-    pub snapshot_ms: u64,
     /// Explicit shard binary path; `None` falls back to
     /// [`resolve_server_bin`].
     pub server_bin: Option<PathBuf>,
@@ -80,7 +67,6 @@ impl FleetConfig {
             soft_cap: 64,
             vnodes: crate::ring::DEFAULT_VNODES,
             probe_ms: 100,
-            snapshot_ms: 1000,
             server_bin: None,
             extra_env: Vec::new(),
             shard_max_inflight: 1024,
@@ -104,7 +90,6 @@ impl FleetConfig {
         ))
         .max(1);
         cfg.probe_ms = parse("FLEET_PROBE_MS", 100).max(10);
-        cfg.snapshot_ms = parse("FLEET_SNAPSHOT_MS", 1000);
         cfg
     }
 }
@@ -127,22 +112,22 @@ struct ShardProc {
     restarts: std::sync::atomic::AtomicU64,
 }
 
-/// A running fleet: shard children + router + maintenance threads.
+/// A running fleet: shard children + router + the probe thread.
 pub struct Fleet {
     cfg: FleetConfig,
     bin: PathBuf,
     router: Arc<Router>,
     procs: Vec<Arc<ShardProc>>,
-    /// Raised by [`Fleet::shutdown`]; the maintenance loops wait out
-    /// their periods on `stop_cv`, so they wake at once.
+    /// Raised by [`Fleet::shutdown`]; the probe loop waits out its
+    /// period on `stop_cv`, so it wakes at once.
     stop: Mutex<bool>,
     stop_cv: Condvar,
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    probe: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl Fleet {
-    /// Spawns the shard processes and starts the router and maintenance
-    /// threads. Shards may still be binding their sockets on return;
+    /// Spawns the shard processes and starts the router and the probe
+    /// thread. Shards may still be binding their sockets on return;
     /// the router reconnects until they are up.
     ///
     /// # Errors
@@ -183,35 +168,19 @@ impl Fleet {
             procs,
             stop: Mutex::new(false),
             stop_cv: Condvar::new(),
-            threads: Mutex::new(Vec::new()),
+            probe: Mutex::new(None),
         });
         for i in 0..fleet.cfg.shards {
             fleet.spawn_shard(i)?;
         }
-        let mut threads = Vec::new();
-        {
-            let f = Arc::clone(&fleet);
-            // Supervisory maintenance thread; no single request trace to
-            // adopt. lint: allow(untraced-spawn)
-            if let Ok(h) = std::thread::Builder::new()
-                .name("fleet-probe".into())
-                .spawn(move || f.probe_loop())
-            {
-                threads.push(h);
-            }
-        }
-        if fleet.cfg.snapshot_ms > 0 {
-            let f = Arc::clone(&fleet);
-            // Supervisory maintenance thread; no single request trace to
-            // adopt. lint: allow(untraced-spawn)
-            if let Ok(h) = std::thread::Builder::new()
-                .name("fleet-snapshot".into())
-                .spawn(move || f.snapshot_loop())
-            {
-                threads.push(h);
-            }
-        }
-        *lock(&fleet.threads) = threads;
+        let f = Arc::clone(&fleet);
+        // Supervisory maintenance thread; no single request trace to
+        // adopt. lint: allow(untraced-spawn)
+        let probe = std::thread::Builder::new()
+            .name("fleet-probe".into())
+            .spawn(move || f.probe_loop())
+            .ok();
+        *lock(&fleet.probe) = probe;
         Ok(fleet)
     }
 
@@ -225,7 +194,7 @@ impl Fleet {
         shard_socket(&self.cfg.dir, i)
     }
 
-    /// The cache directory shard `i` persists into.
+    /// The directory shard `i` keeps its codesign checkpoints in.
     pub fn shard_cache_dir(&self, i: usize) -> PathBuf {
         shard_cache_dir(&self.cfg.dir, i)
     }
@@ -314,46 +283,19 @@ impl Fleet {
         }
     }
 
-    fn snapshot_loop(&self) {
-        let period = Duration::from_millis(self.cfg.snapshot_ms.max(10));
-        while !self.stopping(period) && !self.router.is_shutting_down() {
-            let _ = self.exchange_now();
-        }
-    }
-
-    /// One synchronous snapshot exchange: flush every live shard (a
-    /// direct `flush` rpc on its socket, answered inline), then merge
-    /// all per-shard `evalcache` checkpoints into a union written back
-    /// to every shard directory. Returns the number of entries in the
-    /// merged snapshot.
-    pub fn exchange_now(&self) -> usize {
-        for i in 0..self.cfg.shards {
-            let _ = shard_rpc(
-                &self.shard_socket(i),
-                "{\"v\":1,\"id\":999999901,\"req\":\"flush\"}",
-                Duration::from_secs(5),
-            );
-        }
-        merge_snapshots(
-            &(0..self.cfg.shards)
-                .map(|i| self.shard_cache_dir(i))
-                .collect::<Vec<_>>(),
-        )
-    }
-
     /// Graceful fleet shutdown: drain the router (typed partials for
     /// anything still pending), ask shards to shut down, wait for the
-    /// children (killing stragglers), and stop the maintenance threads.
+    /// children (killing stragglers), and stop the probe thread.
     pub fn shutdown(&self) {
-        // Stop the maintenance threads first so nothing respawns or
-        // re-sends while the fleet tears down.
+        // Stop the probe thread first so nothing respawns or re-sends
+        // while the fleet tears down.
         *lock(&self.stop) = true;
         self.stop_cv.notify_all();
-        let handles = {
-            let mut held = lock(&self.threads);
-            std::mem::take(&mut *held)
+        let probe = {
+            let mut held = lock(&self.probe);
+            held.take()
         };
-        for h in handles {
+        if let Some(h) = probe {
             let _ = h.join();
         }
         self.router.shutdown();
@@ -399,63 +341,6 @@ fn shard_socket(dir: &Path, i: usize) -> PathBuf {
 
 fn shard_cache_dir(dir: &Path, i: usize) -> PathBuf {
     dir.join(format!("shard-{i}"))
-}
-
-/// One short-lived request/response rpc against a shard socket.
-fn shard_rpc(sock: &Path, line: &str, timeout: Duration) -> Option<String> {
-    let mut stream = UnixStream::connect(sock).ok()?;
-    stream.set_read_timeout(Some(timeout)).ok()?;
-    writeln!(stream, "{line}").ok()?;
-    let mut reader = BufReader::new(stream);
-    let mut buf = String::new();
-    match reader.read_line(&mut buf) {
-        Ok(n) if n > 0 => Some(buf.trim().to_string()),
-        _ => None,
-    }
-}
-
-/// Merges every readable per-shard `evalcache` checkpoint into one
-/// union snapshot written back to each shard directory (atomic
-/// tmp+rename via [`Checkpoint::save`]). Returns the union entry count;
-/// unreadable/torn snapshots are skipped (the shard cold-starts, typed,
-/// exactly as the single-process diskcache does).
-pub fn merge_snapshots(dirs: &[PathBuf]) -> usize {
-    let mut em: Option<String> = None;
-    let mut union: Vec<String> = Vec::new();
-    let mut seen = std::collections::BTreeSet::new();
-    for dir in dirs {
-        let path = dir.join("evalcache.ckpt");
-        let Ok(ck) = Checkpoint::load(&path) else {
-            continue;
-        };
-        let Some(file_em) = ck.meta("em").map(str::to_string) else {
-            continue;
-        };
-        match &em {
-            None => em = Some(file_em),
-            Some(e) if *e == file_em => {}
-            // Fingerprint mismatch: a shard ran different model code;
-            // skip rather than poison the union.
-            Some(_) => continue,
-        }
-        for line in ck.section("cache") {
-            if seen.insert(line.clone()) {
-                union.push(line.clone());
-            }
-        }
-    }
-    let Some(em) = em else {
-        return 0;
-    };
-    union.truncate(diskcache::DEFAULT_CAP);
-    let mut merged = Checkpoint::new("evalcache");
-    merged.set_meta("em", &em);
-    merged.set_meta("cap", &diskcache::DEFAULT_CAP.to_string());
-    merged.push_section("cache", union.clone());
-    for dir in dirs {
-        let _ = merged.save(&dir.join("evalcache.ckpt"));
-    }
-    union.len()
 }
 
 /// Hosts a fleet on a unix socket, serving each connection's

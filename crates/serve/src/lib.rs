@@ -3,10 +3,10 @@
 //! The crates below this one answer *one* question per process run:
 //! evaluate a PU, segment a model, run a co-design sweep. This crate
 //! turns them into a **service**: a persistent process that many clients
-//! query concurrently over a versioned JSONL protocol, sharing one warm
-//! [`pucost::EvalCache`] (optionally persisted to disk across restarts),
-//! one [`autoseg::dse::DsePool`], and one admission-controlled priority
-//! queue.
+//! query concurrently over a versioned JSONL protocol, through one
+//! admission-controlled priority queue. Every request evaluates the cost
+//! model directly; searches checkpoint server-side, so a restarted
+//! server resumes them.
 //!
 //! Layering:
 //!
@@ -15,14 +15,15 @@
 //! * [`proto`] — the versioned request/response line protocol.
 //! * [`queue`] — admission control + priority scheduling (+ the fleet
 //!   [`queue::ShedPolicy`]).
-//! * [`diskcache`] — the persistent warm tier of the eval cache.
+//! * [`diskcache`] — a disk snapshot of the PU-cost memo; the server
+//!   does not use it.
 //! * [`server`] — the serving core: workers, batching, deadlines,
 //!   cancellation, graceful shutdown with checkpointed searches.
 //! * [`ring`] — the deterministic consistent-hash ring for the fleet.
 //! * [`router`] — fan-out of client sessions across shard sockets with
 //!   retry/failover of idempotent work and typed load shedding.
 //! * [`fleet`] — shard process supervision: spawn, health probes, hot
-//!   restart, warm-cache snapshot exchange; the `spa-fleet` binary.
+//!   restart; the `spa-fleet` binary.
 //! * [`testkit`] — condition-polling helpers for the socket suites.
 //!
 //! The `spa-serve` binary (`main.rs`) fronts a [`server::Server`] with a
@@ -31,14 +32,9 @@
 //! fleet's included, is one blocking connection pump (DESIGN.md §9).
 //!
 //! Environment knobs: `SERVE_SOCKET` (socket path), `SERVE_CACHE_DIR`
-//! (persistent cache + server-side checkpoints), `SERVE_MAX_INFLIGHT`
-//! (admission cap). `DSE_THREADS`, `OBS_LEVEL` and `FAULT_PLAN` apply as
-//! everywhere else.
-//!
-//! Known limitation, documented rather than hidden: `segment` requests
-//! run through [`autoseg::AutoSeg`], which evaluates the cost model
-//! directly — they do not share the server's warm cache (and so never
-//! contribute warm hits). `eval_pu` and `codesign` do.
+//! (server-side codesign checkpoints), `SERVE_MAX_INFLIGHT` (admission
+//! cap). `DSE_THREADS`, `OBS_LEVEL` and `FAULT_PLAN` apply as everywhere
+//! else.
 
 pub mod diskcache;
 pub mod fleet;
@@ -106,8 +102,8 @@ pub(crate) trait Session: Send + 'static {
 /// request, each output line a response, written the moment it is
 /// ready. At input EOF every admitted request still answers; after a
 /// `shutdown` request the rest of the input is left unread. Either way
-/// the server then shuts down, checkpoints in-flight searches and
-/// flushes the persistent cache before this returns.
+/// the server then shuts down and checkpoints in-flight searches before
+/// this returns.
 ///
 /// This is the `--stdio` mode of the binary, factored here so tests can
 /// drive it with in-memory readers/writers.
@@ -131,8 +127,8 @@ pub fn run_stdio(
 
 /// Hosts a fresh server on a unix-domain socket at `path`, one JSONL
 /// session per connection, until `stop` is raised or a `shutdown`
-/// request lands. On exit the server drains gracefully, checkpoints
-/// in-flight searches and flushes the persistent cache.
+/// request lands. On exit the server drains gracefully and checkpoints
+/// in-flight searches.
 ///
 /// This is the `--socket` mode of the binary (which passes
 /// [`TERMINATE`] as `stop`), factored here so the `bench_serve` harness
@@ -143,7 +139,7 @@ pub fn run_stdio(
 /// Bind failures; an accept error ends the loop but still shuts down
 /// cleanly.
 pub fn run_socket(path: &Path, cfg: ServeConfig, stop: &AtomicBool) -> std::io::Result<()> {
-    // Bind before the warm tier loads: an early client waits in the
+    // Bind before the server starts: an early client waits in the
     // backlog instead of retrying.
     let listener = bind(path)?;
     let server = Server::start(cfg);

@@ -9,8 +9,8 @@
 //!   unix-domain socket accepting many concurrent clients, each a JSONL
 //!   session. SIGTERM (or a `shutdown` request) shuts down gracefully:
 //!   in-flight searches stop at the next generation boundary and
-//!   checkpoint, the persistent cache flushes, and a restarted server
-//!   resumes interrupted codesigns bit-identically.
+//!   checkpoint into `SERVE_CACHE_DIR`, and a restarted server resumes
+//!   interrupted codesigns bit-identically.
 //!
 //! Both front ends and the SIGTERM handler live in the library
 //! ([`serve::run_stdio`], [`serve::run_socket`],

@@ -13,7 +13,7 @@
 //! request  = { "v":1, "id":N, "req":KIND, ...kind fields...,
 //!              "priority":P?, "deadline_ms":D? }
 //! KIND     = "eval_pu" | "segment" | "codesign" | "status"
-//!          | "metrics" | "cancel" | "flush" | "shutdown"
+//!          | "metrics" | "cancel" | "shutdown"
 //! response = { "id":N, "kind":"done",     "result":{...}, "trace":T? }
 //!          | { "id":N, "kind":"partial",  "reason":R, "completed_gens":G,
 //!              "planned_gens":T, "result":{...}?, "trace":T? }
@@ -55,14 +55,14 @@ pub const PROTOCOL_VERSION: u64 = 1;
 pub enum DataflowSel {
     /// Evaluate exactly this dataflow.
     Fixed(Dataflow),
-    /// Probe both and return the winner ([`pucost::EvalCache::best_dataflow`]).
+    /// Evaluate both and return the winner ([`pucost::best_dataflow`]).
     Best,
 }
 
 /// One parsed, validated client request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Evaluate one `(layer, PU, dataflow)` triple through the shared cache.
+    /// Evaluate one `(layer, PU, dataflow)` triple with the cost model.
     EvalPu {
         /// The layer to cost.
         layer: LayerDesc,
@@ -106,12 +106,8 @@ pub enum Request {
         /// The id of the request to cancel.
         target: u64,
     },
-    /// Persist the warm cache to disk now (answered inline). The fleet
-    /// router uses this to trigger snapshot exchange deterministically;
-    /// standalone servers answer with the save/entry counts.
-    Flush,
-    /// Graceful shutdown: checkpoint in-flight searches, flush the
-    /// persistent cache, stop accepting work.
+    /// Graceful shutdown: checkpoint in-flight searches, stop accepting
+    /// work.
     Shutdown,
 }
 
@@ -257,7 +253,6 @@ pub fn parse_request(line: &str) -> Result<Envelope, ProtoError> {
         "cancel" => Request::Cancel {
             target: req_u64(&v, "target", Some(id))?,
         },
-        "flush" => Request::Flush,
         "shutdown" => Request::Shutdown,
         other => {
             return Err(ProtoError::new(
@@ -443,8 +438,8 @@ mod tests {
             }
             other => panic!("wrong request: {other:?}"),
         }
-        let fl = parse_request(r#"{"v":1,"id":11,"req":"flush"}"#).expect("flush");
-        assert_eq!(fl.request, Request::Flush);
+        let fl = parse_request(r#"{"v":1,"id":11,"req":"flush"}"#).expect_err("flush is gone");
+        assert_eq!((fl.code, fl.id), ("unknown-request", Some(11)));
         let neg = parse_request(r#"{"v":1,"id":5,"req":"status","priority":-3}"#).expect("neg prio");
         assert_eq!(neg.priority, -3);
         let me = parse_request(r#"{"v":1,"id":6,"req":"metrics"}"#).expect("metrics");

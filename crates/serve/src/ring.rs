@@ -76,11 +76,11 @@ impl Ring {
 }
 
 /// The routing key for a request, or `None` for verbs the router
-/// answers itself (status/metrics/flush/shutdown) or routes by target
+/// answers itself (status/metrics/shutdown) or routes by target
 /// (cancel). The key is a canonical function of every field that feeds
 /// the result, so identical work — including a codesign resubmitted
 /// after a shard crash — always lands on the same shard and finds its
-/// warm cache entries and checkpoint file there.
+/// checkpoint file there.
 pub fn route_key(request: &Request) -> Option<String> {
     match request {
         Request::EvalPu {

@@ -25,8 +25,8 @@
 //! Admission is a fleet-global [`ShedPolicy`]: beyond the soft cap only
 //! priority > 0 work is forwarded, beyond the hard cap nothing is, and
 //! shed requests get a typed `overloaded` error — backpressure, never a
-//! hang. Router-local verbs (`status`, `metrics`, `flush`, `shutdown`)
-//! are answered inline; `cancel` is forwarded to the shard that owns
+//! hang. Router-local verbs (`status`, `metrics`, `shutdown`) are
+//! answered inline; `cancel` is forwarded to the shard that owns
 //! the target.
 
 use std::collections::BTreeMap;
@@ -251,7 +251,7 @@ impl Router {
 
     /// Graceful fleet shutdown: drain every pending request as a typed
     /// `partial` (reason `cancelled`), then ask each shard to shut down
-    /// (which checkpoints in-flight searches and flushes caches).
+    /// (which checkpoints in-flight searches).
     pub fn shutdown(&self) {
         if self.shutting_down.swap(true, Ordering::SeqCst) {
             return;
@@ -299,21 +299,6 @@ impl Router {
         for h in handles {
             let _ = h.join();
         }
-    }
-
-    /// Fire-and-forget broadcast of a `flush` line to every shard (no
-    /// pending entry: the shard's answer is dropped by the reader).
-    pub fn broadcast_flush(&self) -> usize {
-        let mut sent = 0;
-        for link in &self.links {
-            let uid = self.upstream_seq.fetch_add(1, Ordering::Relaxed) + 1;
-            let line = format!("{{\"v\":1,\"id\":{uid},\"req\":\"flush\"}}");
-            let mut st = lock(&link.state);
-            if write_line(&mut st, &line) {
-                sent += 1;
-            }
-        }
-        sent
     }
 
     /// The fleet `status` payload.
@@ -601,15 +586,6 @@ impl FleetSession {
                     .shared
                     .tx
                     .send(done_line(env.id, self.router.status_json(), trace));
-                self.router.c.completed.fetch_add(1, Ordering::Relaxed);
-            }
-            Request::Flush => {
-                let sent = self.router.broadcast_flush();
-                let _ = self.shared.tx.send(done_line(
-                    env.id,
-                    obj(vec![("requested", Json::from(sent))]),
-                    trace,
-                ));
                 self.router.c.completed.fetch_add(1, Ordering::Relaxed);
             }
             Request::Shutdown => {

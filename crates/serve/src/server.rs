@@ -1,9 +1,7 @@
 //! The serving core: admission, scheduling, batching, execution.
 //!
-//! A [`Server`] owns one shared [`EvalCache`] (optionally warmed from /
-//! persisted to a [`DiskCache`]), one [`DsePool`], an
-//! admission-controlled priority queue and a small pool of scheduler
-//! workers. Clients — one per connection, created with
+//! A [`Server`] owns an admission-controlled priority queue and a small
+//! pool of scheduler workers. Clients — one per connection, created with
 //! [`Server::client`] — submit raw JSONL request lines and receive JSONL
 //! response lines over a channel; the `--stdio` and unix-socket fronts
 //! ([`crate::run_stdio`], [`crate::run_socket`]) pump lines through this
@@ -12,24 +10,23 @@
 //! Scheduling: jobs run in `(priority desc, arrival asc)` order. When
 //! the head of the queue is an `eval_pu` job the worker drains the run
 //! of consecutive `eval_pu` jobs behind it (up to [`EVAL_BATCH_MAX`])
-//! and evaluates them as **one** [`DsePool::par_map`] batch against the
-//! shared cache. `segment`/`codesign` jobs run singly, with deadlines
-//! and cancellation propagated through [`RunCtl`]; codesign state is
-//! checkpointed server-side so a restarted server resumes mid-flight
-//! searches bit-identically.
+//! and evaluates them in order on its own thread, straight from the cost
+//! model ([`pucost::evaluate`], [`pucost::best_dataflow`]).
+//! `segment`/`codesign` jobs run singly on a `DsePool` sized by
+//! [`ServeConfig::threads`], with deadlines and cancellation propagated
+//! through [`RunCtl`]; codesign state is checkpointed server-side so a
+//! restarted server resumes mid-flight searches bit-identically.
 
-use crate::diskcache::DiskCache;
 use crate::json::{obj, Json};
 use crate::proto::{
     self, done_line, error_line, partial_line, progress_line, DataflowSel, Envelope, Request,
 };
 use crate::queue::{Admission, AdmitError, Queued};
-use autoseg::codesign::{run_codesign_with, CodesignBudgets, CodesignRun, DesignPoint, Method};
-use autoseg::dse::DsePool;
+use autoseg::codesign::{self, CodesignBudgets, CodesignRun, DesignPoint, Method};
 use autoseg::{AutoSeg, RunCtl, RunStatus, StopReason};
 use faultsim::rng::{fnv1a, FNV_OFFSET, FNV_PRIME};
 use obs::HdrHist;
-use pucost::{Dataflow, EvalCache, LayerDesc, PuConfig, PuEval};
+use pucost::{Dataflow, EnergyModel, LayerDesc, PuConfig, PuEval};
 use spa_arch::HwBudget;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -41,7 +38,7 @@ use std::sync::{Arc, Condvar, Mutex};
 // what any completed generation computed.
 use std::time::{Duration, Instant};
 
-/// Largest `eval_pu` run drained into one `par_map` batch.
+/// Largest `eval_pu` run drained into one batch.
 pub const EVAL_BATCH_MAX: usize = 32;
 
 /// Default admission cap (`SERVE_MAX_INFLIGHT`).
@@ -51,17 +48,16 @@ pub const DEFAULT_MAX_INFLIGHT: usize = 64;
 /// environment knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// DSE pool threads (0 = `DSE_THREADS`/auto).
+    /// DSE pool threads of `segment` and `codesign` searches (0 =
+    /// `DSE_THREADS`/auto).
     pub threads: usize,
     /// Scheduler worker threads.
     pub workers: usize,
     /// Admission cap: queued + running jobs (`SERVE_MAX_INFLIGHT`).
     pub max_inflight: usize,
-    /// Directory for the persistent cache tier and server-side codesign
-    /// checkpoints (`SERVE_CACHE_DIR`); `None` disables both.
+    /// Directory for server-side codesign checkpoints
+    /// (`SERVE_CACHE_DIR`); `None` disables them.
     pub cache_dir: Option<PathBuf>,
-    /// Persistent-cache entry cap.
-    pub cache_cap: usize,
     /// Codesign checkpoint cadence in generations.
     pub checkpoint_every: u64,
 }
@@ -73,7 +69,6 @@ impl Default for ServeConfig {
             workers: 2,
             max_inflight: DEFAULT_MAX_INFLIGHT,
             cache_dir: None,
-            cache_cap: crate::diskcache::DEFAULT_CAP,
             checkpoint_every: 1,
         }
     }
@@ -189,17 +184,12 @@ fn verb_name(r: &Request) -> &'static str {
         Request::Status => "status",
         Request::Metrics { .. } => "metrics",
         Request::Cancel { .. } => "cancel",
-        Request::Flush => "flush",
         Request::Shutdown => "shutdown",
     }
 }
 
 struct Inner {
     cfg: ServeConfig,
-    cache: EvalCache,
-    pool: DsePool,
-    disk: Mutex<Option<DiskCache>>,
-    disk_note: Mutex<String>,
     queue: Mutex<Admission<Job>>,
     cv: Condvar,
     shutdown: AtomicBool,
@@ -230,38 +220,18 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
 }
 
 impl Server {
-    /// Builds the server, loads the persistent cache tier (when
-    /// configured) and starts the scheduler workers.
+    /// Builds the server and starts the scheduler workers.
     pub fn start(cfg: ServeConfig) -> Self {
         // A panicking worker should leave a readable tail of what every
         // thread was doing: chain the flight-recorder dump in front of
         // the default hook. Idempotent across restarts in one process.
         obs::flight::install_panic_hook();
-        let cache = EvalCache::default();
-        let pool = if cfg.threads == 0 {
-            DsePool::from_env()
-        } else {
-            DsePool::new(cfg.threads)
-        };
-        let (disk, disk_note) = match &cfg.cache_dir {
-            None => (None, "disabled".to_string()),
-            Some(dir) => {
-                let _ = std::fs::create_dir_all(dir);
-                let mut d = DiskCache::new(dir.join("evalcache.ckpt"), cfg.cache_cap);
-                let note = match d.load(&cache) {
-                    Ok(n) => format!("loaded {n} entries"),
-                    Err(e) => format!("cold start: {e}"),
-                };
-                (Some(d), note)
-            }
-        };
+        if let Some(dir) = &cfg.cache_dir {
+            let _ = std::fs::create_dir_all(dir);
+        }
         let inner = Arc::new(Inner {
             queue: Mutex::new(Admission::new(cfg.max_inflight)),
             cfg,
-            cache,
-            pool,
-            disk: Mutex::new(disk),
-            disk_note: Mutex::new(disk_note),
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             conn_seq: AtomicU64::new(0),
@@ -316,13 +286,11 @@ impl Server {
         self.inner.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Waits for the workers to drain and flushes the persistent cache
-    /// tier. Call after [`Server::shutdown`].
+    /// Waits for the workers to drain. Call after [`Server::shutdown`].
     pub fn join(mut self) {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        flush_disk(&self.inner);
     }
 }
 
@@ -347,15 +315,6 @@ fn shutdown_inner(inner: &Arc<Inner>) {
         flag.store(true, Ordering::SeqCst);
     }
     inner.cv.notify_all();
-}
-
-fn flush_disk(inner: &Inner) {
-    let mut disk = lock(&inner.disk);
-    if let Some(d) = disk.as_mut() {
-        if let Err(e) = d.save(&inner.cache) {
-            *lock(&inner.disk_note) = format!("save failed: {e}");
-        }
-    }
 }
 
 impl Client {
@@ -415,27 +374,6 @@ impl Client {
                 self.inner.m.completed.fetch_add(1, Ordering::Relaxed);
                 self.inner.tel.verb("cancel", t0.elapsed());
             }
-            Request::Flush => {
-                flush_disk(&self.inner);
-                let (enabled, saves) = {
-                    let disk = lock(&self.inner.disk);
-                    match disk.as_ref() {
-                        Some(d) => (true, d.saves()),
-                        None => (false, 0),
-                    }
-                };
-                let _ = self.tx.send(done_line(
-                    env.id,
-                    obj(vec![
-                        ("flushed", Json::from(enabled)),
-                        ("saves", Json::from(saves)),
-                        ("entries", Json::from(self.inner.cache.stats().entries)),
-                    ]),
-                    trace,
-                ));
-                self.inner.m.completed.fetch_add(1, Ordering::Relaxed);
-                self.inner.tel.verb("flush", t0.elapsed());
-            }
             Request::Shutdown => {
                 shutdown_inner(&self.inner);
                 let _ = self.tx.send(done_line(
@@ -470,8 +408,8 @@ impl Client {
             deadline: deadline_ms.map(|ms| now + Duration::from_millis(ms)),
         };
         // The cancel entry must exist before the job becomes visible to
-        // workers: a cache-hit eval can pop, run and respond in
-        // microseconds, and the worker's post-response removal has to
+        // workers: an eval can pop, run and respond in microseconds,
+        // and the worker's post-response removal has to
         // find the entry — inserting it after the push would leave a
         // stale entry behind, and a later `cancel` of the finished id
         // would answer `cancelled: true`. The same ordering covers a
@@ -514,11 +452,6 @@ fn status_json(inner: &Inner) -> Json {
             q.high_water(),
         )
     };
-    let cs = inner.cache.stats();
-    let (disk_enabled, disk_loaded, disk_saves) = match lock(&inner.disk).as_ref() {
-        None => (false, 0usize, 0u64),
-        Some(d) => (true, d.loaded_entries(), d.saves()),
-    };
     obj(vec![
         ("protocol", Json::from(proto::PROTOCOL_VERSION)),
         ("uptime_ms", Json::from(inner.tel.uptime_ms())),
@@ -552,29 +485,6 @@ fn status_json(inner: &Inner) -> Json {
                     "deadline_misses",
                     Json::from(inner.m.deadline_misses.load(Ordering::Relaxed)),
                 ),
-            ]),
-        ),
-        (
-            "cache",
-            obj(vec![
-                ("entries", Json::from(cs.entries)),
-                ("hits", Json::from(cs.hits)),
-                ("warm_hits", Json::from(cs.warm_hits)),
-                ("hot_hits", Json::from(cs.hot_hits)),
-                ("misses", Json::from(cs.misses)),
-                ("hit_rate", Json::from(cs.hit_rate)),
-                ("batched_probes", Json::from(cs.batched_probes)),
-                ("batch_misses", Json::from(cs.batch_misses)),
-                ("batch_shard_locks", Json::from(cs.batch_shard_locks)),
-            ]),
-        ),
-        (
-            "disk",
-            obj(vec![
-                ("enabled", Json::from(disk_enabled)),
-                ("loaded_entries", Json::from(disk_loaded)),
-                ("saves", Json::from(disk_saves)),
-                ("note", Json::from(lock(&inner.disk_note).clone())),
             ]),
         ),
     ])
@@ -703,8 +613,7 @@ fn execute_batch(inner: &Arc<Inner>, batch: Vec<Job>) {
     }
     // Partition: jobs still eligible to run vs. already cancelled/expired
     // (answered typed without any work).
-    let mut eval_items: Vec<(LayerDesc, PuConfig, DataflowSel)> = Vec::new();
-    let mut eval_jobs: Vec<Job> = Vec::new();
+    let mut evals: Vec<(Job, LayerDesc, PuConfig, DataflowSel)> = Vec::new();
     for job in batch {
         record_wait(inner, &job);
         if job.cancel.load(Ordering::SeqCst) {
@@ -724,74 +633,39 @@ fn execute_batch(inner: &Arc<Inner>, batch: Vec<Job>) {
             lock(&inner.cancels).remove(&(job.conn, job.id));
             continue;
         }
-        match &job.request {
-            Request::EvalPu { layer, pu, dataflow } => {
-                eval_items.push((*layer, *pu, *dataflow));
-                eval_jobs.push(job);
-            }
-            _ => run_search_job(inner, job),
+        if let Request::EvalPu {
+            layer,
+            pu,
+            dataflow,
+        } = job.request
+        {
+            evals.push((job, layer, pu, dataflow));
+        } else {
+            run_search_job(inner, job);
         }
     }
-    if eval_jobs.is_empty() {
+    let Some((first, ..)) = evals.first() else {
         return;
-    }
-    // One pool fan-out for the whole eval run, chunked so each worker
-    // resolves its probes through one `evaluate_probes` call; the shared
-    // cache makes repeats (within and across batches) hits.
-    let cache = &inner.cache;
-    let chunk_len = eval_items.len().div_ceil(inner.pool.threads().max(1)).max(1);
-    let chunks: Vec<&[(LayerDesc, PuConfig, DataflowSel)]> = eval_items.chunks(chunk_len).collect();
-    // The batch shares one trace context: attribute the fused par_map to
-    // the first job's id (flight notes + Chrome spans inside the pool
-    // workers inherit it via DsePool's trace propagation).
-    let _t = obs::TraceGuard::enter(eval_jobs[0].trace);
+    };
+    // The batch shares one trace context: the first job's id.
+    let _t = obs::TraceGuard::enter(first.trace);
     obs::flight::note(
         "serve.batch",
-        eval_jobs[0].trace,
-        pucost::util::u64_of(eval_jobs.len()),
+        first.trace,
+        pucost::util::u64_of(evals.len()),
     );
+    let em = EnergyModel::tsmc28();
     let eval_t0 = Instant::now();
-    let results: Vec<(Dataflow, PuEval)> = inner
-        .pool
-        .par_map(&chunks, |_, chunk| {
-            // A `best` selection probes WS then OS, exactly like the
-            // scalar `best_dataflow`, so the stitched pick below applies
-            // the shared tie-break to bit-identical inputs.
-            let mut probes: Vec<(LayerDesc, PuConfig, Dataflow)> =
-                Vec::with_capacity(chunk.len() * 2);
-            for (layer, pu, sel) in chunk.iter() {
-                match sel {
-                    DataflowSel::Fixed(df) => probes.push((*layer, *pu, *df)),
-                    DataflowSel::Best => {
-                        probes.push((*layer, *pu, Dataflow::WeightStationary));
-                        probes.push((*layer, *pu, Dataflow::OutputStationary));
-                    }
-                }
-            }
-            let evals = cache.evaluate_probes(&probes);
-            let mut out: Vec<(Dataflow, PuEval)> = Vec::with_capacity(chunk.len());
-            let mut next = 0;
-            for (_, _, sel) in chunk.iter() {
-                match sel {
-                    DataflowSel::Fixed(df) => {
-                        out.push((*df, evals[next]));
-                        next += 1;
-                    }
-                    DataflowSel::Best => {
-                        let picked = pucost::pick_dataflow(evals[next], evals[next + 1]);
-                        next += 2;
-                        out.push(picked);
-                    }
-                }
-            }
-            out
+    let results: Vec<(Dataflow, PuEval)> = evals
+        .iter()
+        .map(|(_, layer, pu, sel)| match sel {
+            DataflowSel::Fixed(df) => (*df, pucost::evaluate(layer, pu, *df, &em)),
+            DataflowSel::Best => pucost::best_dataflow(layer, pu, &em),
         })
-        .into_iter()
-        .flatten()
         .collect();
     inner.tel.stage("eval_us", eval_t0.elapsed());
     let respond_t0 = Instant::now();
-    for (job, (df, eval)) in eval_jobs.into_iter().zip(results) {
+    for ((job, ..), (df, eval)) in evals.into_iter().zip(results) {
         // Telemetry first: a client that reads `done` and at once asks
         // for `metrics` must find its own request counted.
         inner.m.completed.fetch_add(1, Ordering::Relaxed);
@@ -903,7 +777,7 @@ fn run_segment(inner: &Arc<Inner>, model: &str, budget: &str, ctl: &RunCtl) -> S
         .ok_or_else(|| ("unknown-model", format!("no zoo model named {model:?}")))?;
     let budget = HwBudget::by_name(budget)
         .ok_or_else(|| ("unknown-budget", format!("no budget preset named {budget:?}")))?;
-    let engine = AutoSeg::new(budget).threads(inner.cfg.threads.max(1));
+    let engine = AutoSeg::new(budget).threads(inner.cfg.threads);
     let anytime = engine
         .run_ctl(&graph, ctl)
         .map_err(|e| ("search-failed", e.to_string()))?;
@@ -956,7 +830,7 @@ fn run_codesign(
     // Server-side checkpointing: in-flight searches survive restarts.
     // The checkpoint file is keyed by the full request identity, so a
     // restarted server resumes exactly the search the client asked for
-    // (run_codesign_with re-validates the recorded config).
+    // (run_codesign re-validates the recorded config).
     let ckpt = inner.cfg.cache_dir.as_ref().map(|dir| {
         dir.join(format!(
             "codesign-{}-{}-{}-{hw_iters}-{seg_iters}-{seed}.ckpt",
@@ -971,7 +845,7 @@ fn run_codesign(
             ctl = ctl.resume(path);
         }
     }
-    let run: CodesignRun = run_codesign_with(&graph, &hw, &budgets, method, &inner.pool, &inner.cache, &ctl)
+    let run: CodesignRun = codesign::run_codesign(&graph, &hw, &budgets, method, &ctl)
         .map_err(|e| ("search-failed", e.to_string()))?;
     if run.status.is_complete() {
         if let Some(path) = &ckpt {
@@ -1063,18 +937,10 @@ mod tests {
         let done = recv_for(&answers, 1, &["done"]);
         let cycles = done.get("result").and_then(|r| r.get("cycles")).and_then(Json::as_u64);
         assert!(cycles.is_some_and(|c| c > 0));
-        // Same request again: a cache hit, same bits.
+        // Same request again: same bits.
         client.submit(&eval_line(2, 1, ""));
         let again = recv_for(&answers, 2, &["done"]);
         assert_eq!(done.get("result"), again.get("result"));
-        client.submit(r#"{"v":1,"id":3,"req":"status"}"#);
-        let status = recv_for(&answers, 3, &["done"]);
-        let hits = status
-            .get("result")
-            .and_then(|r| r.get("cache"))
-            .and_then(|c| c.get("hits"))
-            .and_then(Json::as_u64);
-        assert!(hits.is_some_and(|h| h >= 1), "{status:?}");
         server.shutdown();
         server.join();
     }

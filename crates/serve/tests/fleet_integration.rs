@@ -2,18 +2,15 @@
 //!
 //! Every test here runs a real fleet: N `spa-serve` child processes
 //! (the binary cargo builds for this test), a router consistent-hashing
-//! work across them, and the probe/snapshot maintenance loops. The
-//! invariants under fire:
+//! work across them, and the probe loop. The invariants under fire:
 //!
 //! * **Zero lost accepted requests** — every submitted line gets
 //!   exactly one terminal response (`done` | typed `partial` | typed
 //!   `error`), through SIGKILL and SIGTERM of individual shards, torn
-//!   checkpoint writes, poisoned cache entries, and dropped forwards.
+//!   checkpoint writes, and dropped forwards.
 //! * **Bit-identical failover** — a codesign whose owning shard dies
 //!   mid-search finishes on the restarted shard with the same result
 //!   digest as an uninterrupted run.
-//! * **Warm restarts** — the snapshot exchange means a shard killed
-//!   after a flush comes back already knowing what the fleet knows.
 //! * **Typed overload** — past the router's hard watermark, requests
 //!   shed with `error code:"overloaded"`, never hang or drop.
 //!
@@ -42,9 +39,6 @@ fn fleet_cfg(dir: &std::path::Path) -> FleetConfig {
     let mut cfg = FleetConfig::new(dir);
     cfg.shards = 3;
     cfg.probe_ms = 25;
-    // Exchanges are driven explicitly (`exchange_now`) so tests are not
-    // racing a background merge.
-    cfg.snapshot_ms = 0;
     cfg.soft_cap = 4096;
     cfg.server_bin = Some(PathBuf::from(env!("CARGO_BIN_EXE_spa-serve")));
     cfg
@@ -109,19 +103,6 @@ fn collect_terminals(answers: &Receiver<String>, ids: &[u64]) -> BTreeMap<u64, J
         }
     }
     out
-}
-
-/// Direct status rpc against one shard's own socket (bypassing the
-/// router) — how the tests observe per-shard cache state.
-fn shard_status(sock: &std::path::Path) -> Option<Json> {
-    use std::io::{BufRead, BufReader, Write};
-    let mut stream = std::os::unix::net::UnixStream::connect(sock).ok()?;
-    stream.set_read_timeout(Some(Duration::from_secs(5))).ok()?;
-    writeln!(stream, "{{\"v\":1,\"id\":999999902,\"req\":\"status\"}}").ok()?;
-    let mut line = String::new();
-    BufReader::new(stream).read_line(&mut line).ok()?;
-    let v = serve::json::parse(line.trim()).ok()?;
-    v.get("result").cloned()
 }
 
 /// The headline chaos run: 256 pipelined client sessions across 16 OS
@@ -318,20 +299,16 @@ fn codesign_failover_resumes_bit_identical_after_owner_shard_dies() {
     let _ = std::fs::remove_dir_all(&ref_dir);
 }
 
-/// Shard-side faults (torn checkpoint writes, poisoned cache entries)
-/// plus a router-side dropped forward: everything still resolves typed,
-/// and the dropped forward is re-sent by housekeeping.
+/// Shard-side torn checkpoint writes plus a router-side dropped forward:
+/// everything still resolves typed, and the dropped forward is re-sent
+/// by housekeeping.
 #[test]
 fn injected_faults_resolve_typed_with_no_lost_requests() {
     let dir = tmpdir("faults");
     let mut cfg = fleet_cfg(&dir);
-    // Every shard tears its first checkpoint write and poisons its
-    // first cache probe; both paths must degrade typed (recompute /
-    // cold-start), never panic the shard or hang the router.
-    cfg.extra_env = vec![(
-        "FAULT_PLAN".to_string(),
-        "ckpt.torn@1,cache.poison@1".to_string(),
-    )];
+    // Every shard tears its first checkpoint write; that must degrade
+    // typed, never panic the shard or hang the router.
+    cfg.extra_env = vec![("FAULT_PLAN".to_string(), "ckpt.torn@1".to_string())];
     let fleet = Fleet::start(cfg).expect("fleet starts");
     // Router-side plan: drop the 2nd forward on the floor (the line is
     // accepted but never hits the wire); the probe loop's housekeeping
@@ -411,73 +388,13 @@ fn overload_sheds_typed_and_recovers() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The snapshot exchange makes warm state survive a SIGKILL: after a
-/// flush+merge, a restarted shard answers a repeat eval from its disk
-/// snapshot (warm hit) instead of recomputing.
-#[test]
-fn snapshot_exchange_warms_a_killed_shard() {
-    let dir = tmpdir("warm");
-    let fleet = Fleet::start(fleet_cfg(&dir)).expect("fleet starts");
-    let (session, answers) = fleet.router().session();
-    session.submit(&eval_line(1, 3));
-    let v = collect_terminals(&answers, &[1]).remove(&1).expect("terminal");
-    assert_eq!(v.get("kind").and_then(Json::as_str), Some("done"), "{v:?}");
-    let owner = usize::try_from(
-        v.get("shard").and_then(Json::as_u64).expect("shard tag"),
-    )
-    .expect("small");
-    // Synchronous fleet-wide flush + merge; the union lands in every
-    // shard directory, including the one about to die.
-    assert!(fleet.exchange_now() >= 1, "merged snapshot has the entry");
-    let pid = fleet.shard_pid(owner).expect("owner running");
-    assert!(fleet.kill_shard(owner, false), "SIGKILL owner {owner}");
-    assert!(
-        wait_until(|| fleet.shard_pid(owner).is_some_and(|p| p != pid)
-            && fleet.router().shard_up(owner)),
-        "owner respawned and reconnected"
-    );
-    // Same key routes to the same shard; the respawned process must
-    // answer it from the loaded snapshot.
-    session.submit(&eval_line(2, 3));
-    let v = collect_terminals(&answers, &[2]).remove(&2).expect("terminal");
-    assert_eq!(v.get("kind").and_then(Json::as_str), Some("done"), "{v:?}");
-    assert_eq!(
-        v.get("shard").and_then(Json::as_u64),
-        Some(owner as u64),
-        "repeat routed to the restarted owner"
-    );
-    let ok = wait_until(|| {
-        shard_status(&fleet.shard_socket(owner)).is_some_and(|st| {
-            let loaded = st
-                .get("disk")
-                .and_then(|d| d.get("loaded_entries"))
-                .and_then(Json::as_u64)
-                .unwrap_or(0);
-            let warm = st
-                .get("cache")
-                .and_then(|c| c.get("warm_hits"))
-                .and_then(Json::as_u64)
-                .unwrap_or(0);
-            loaded >= 1 && warm >= 1
-        })
-    });
-    assert!(
-        ok,
-        "restarted shard loaded the merged snapshot and served a warm hit: {:?}",
-        shard_status(&fleet.shard_socket(owner))
-    );
-    fleet.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The probe and snapshot loops wait out their periods on the fleet's
-/// stop signal, so a shutdown does not wait for a period to end.
+/// The probe loop waits out its period on the fleet's stop signal, so a
+/// shutdown does not wait for a period to end.
 #[test]
 fn shutdown_wakes_the_maintenance_loops() {
     let dir = tmpdir("stop");
     let mut cfg = fleet_cfg(&dir);
     cfg.probe_ms = 60_000;
-    cfg.snapshot_ms = 60_000;
     let fleet = Fleet::start(cfg).expect("fleet starts");
     assert!(
         wait_until(|| (0..3).all(|i| fleet.router().shard_up(i))),

@@ -27,7 +27,6 @@ fn seed_lines() -> Vec<String> {
         r#"{"v":1,"id":4,"req":"status"}"#.to_string(),
         r#"{"v":1,"id":5,"req":"metrics","flight":true}"#.to_string(),
         r#"{"v":1,"id":6,"req":"cancel","target":3}"#.to_string(),
-        r#"{"v":1,"id":7,"req":"flush"}"#.to_string(),
         r#"{"v":1,"id":8,"req":"shutdown","priority":2,"deadline_ms":500}"#.to_string(),
     ]
 }

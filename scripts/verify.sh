@@ -34,7 +34,7 @@ echo "== cargo test (offline) =="
 cargo test -q --offline
 
 if [[ "${1:-}" != "--skip-bench" ]]; then
-    echo "== bench_dse: executor speedup + cache stats (OBS_LEVEL=summary) =="
+    echo "== bench_dse: executor speedup (OBS_LEVEL=summary) =="
     OBS_LEVEL=summary cargo run --release --offline -p experiments --bin bench_dse
     # The instrumented smoke run must leave a real obs report in the JSON.
     python3 - <<'EOF'
@@ -45,7 +45,7 @@ obs = doc.get("obs")
 if not obs or obs == "null" or not obs.get("spans"):
     sys.exit("verify: BENCH_dse.json has no obs report despite OBS_LEVEL=summary")
 counters = obs.get("counters", {})
-for key in ("pucost.cache.hits", "dse.candidates"):
+for key in ("dse.candidates",):
     if counters.get(key, 0) <= 0:
         sys.exit(f"verify: obs counter {key} missing or zero")
 print(f"   obs report OK: {len(obs['spans'])} spans, {len(counters)} counters")
@@ -101,7 +101,7 @@ if not milp.get("deterministic"):
 print(f"   milp OK: nodes {cold} -> {pre} with presolve, warm hit rate {rate}")
 EOF
 
-    echo "== eval-throughput smoke: batched kernels must not lose to scalar =="
+    echo "== eval-throughput smoke: batched kernels must not lose to scalar; the engine sweep must scale =="
     python3 - <<'EOF'
 import json, sys
 with open("results/BENCH_dse.json") as f:
@@ -116,19 +116,21 @@ cache_ratio = tp.get("cache_batch_vs_scalar", 0)
 # batch entry added per-probe work of its own.
 if cache_ratio < 0.9:
     sys.exit(f"verify: batched cache path regressed vs scalar ({cache_ratio}x)")
+# The engine sweep (AutoSeg::run over the 14 gen_zoo designs), best of
+# 10 interleaved rounds per thread count.
 curve = doc.get("speedup_curve") or []
 if len(curve) < 2:
     sys.exit("verify: speedup_curve missing from BENCH_dse.json")
 if tp.get("host_cpus", 1) > 1:
     if curve[1]["speedup"] <= curve[0]["speedup"]:
         sys.exit(f"verify: 2 threads did not beat 1 on a multi-core host: {curve}")
-    print(f"   eval throughput OK: batch {ratio}x, 2-thread speedup {curve[1]['speedup']}x")
+    print(f"   eval throughput OK: batch {ratio}x, engine sweep 2-thread speedup {curve[1]['speedup']}x")
 else:
     print(f"   eval throughput OK: batch {ratio}x (single-CPU host, curve gate skipped)")
 EOF
 fi
 
-echo "== spa-serve: stdio transcript (mid-request deadline, torn cache write) =="
+echo "== spa-serve: stdio transcript (mid-request deadline, torn checkpoint write) =="
 SERVE_TMP="$(mktemp -d)"
 python3 - target/release/spa-serve "$SERVE_TMP" <<'EOF'
 import json, os, subprocess, sys, time
@@ -180,8 +182,8 @@ def run(label, lines, fault=None, pause_before_last=0.0):
             term[doc.get("id")] = doc
     return term
 
-# Session 1 (cold cache): evals, a codesign that must hit its deadline
-# mid-request, malformed and unknown requests, then graceful shutdown.
+# Session 1: evals, a codesign that must hit its deadline mid-request,
+# malformed and unknown requests, then graceful shutdown.
 lines = [json.dumps(dict(EVAL, id=1)), json.dumps(dict(EVAL, id=2)),
          json.dumps({"v": 1, "id": 4, "req": "codesign", "model": "alexnet",
                      "budget": "eyeriss", "method": "mip-baye",
@@ -205,30 +207,38 @@ if t.get(None, {}).get("code") != "bad-json":
 if t.get(6, {}).get("code") != "unknown-request":
     sys.exit(f"verify: unknown req not typed: {t.get(6)}")
 st = t.get(3, {}).get("result", {})
-if st.get("protocol") != 1 or not st.get("disk", {}).get("enabled"):
+queue = st.get("queue", {})
+if st.get("protocol") != 1 or queue.get("max_inflight", 0) < 1 or \
+        any(k not in queue for k in ("depth", "running", "closed", "high_water")):
     sys.exit(f"verify: status report malformed: {st}")
 
-# Session 2 (warm restart + torn write): the persisted cache must load,
-# then FAULT_PLAN tears the save on shutdown.
-lines = [json.dumps({"v": 1, "id": 1, "req": "status"}),
-         json.dumps(dict(EVAL, id=2)),
-         json.dumps({"v": 1, "id": 3, "req": "shutdown"})]
-t = run("warm+torn", lines, fault="ckpt.torn@1", pause_before_last=0.3)
-disk = t.get(1, {}).get("result", {}).get("disk", {})
-if disk.get("loaded_entries", 0) < 1 or not str(disk.get("note", "")).startswith("loaded"):
-    sys.exit(f"verify: restart did not load the persistent cache: {disk}")
-if t.get(2, {}).get("kind") != "done":
-    sys.exit(f"verify: eval after warm load failed: {t.get(2)}")
+# Session 2 (torn write): a deadline-cut codesign checkpoints into
+# SERVE_CACHE_DIR, and FAULT_PLAN tears its checkpoint writes. `@*` tears
+# every write, so the file left behind is torn whichever generation the
+# deadline stops at.
+SEARCH = {"v": 1, "id": 1, "req": "codesign", "model": "alexnet",
+          "budget": "eyeriss", "method": "mip-baye", "hw_iters": 4000,
+          "seg_iters": 48, "seed": 11, "deadline_ms": 50}
+lines = [json.dumps(SEARCH), json.dumps({"v": 1, "id": 3, "req": "shutdown"})]
+t = run("torn", lines, fault="ckpt.torn@*", pause_before_last=0.3)
+if t.get(1, {}).get("kind") != "partial":
+    sys.exit(f"verify: deadline-cut codesign not answered partial: {t.get(1)}")
+torn = [f for f in os.listdir(cache_dir) if f.endswith("-11.ckpt")]
+if len(torn) != 1:
+    sys.exit(f"verify: no checkpoint left by the deadline-cut codesign: {torn}")
 
-# Session 3 (recovery): the torn file must be detected as a typed cold
-# start, never a panic, and the server must keep serving.
+# Session 3 (recovery): the restarted server resumes the resubmitted
+# search from the torn file, which must fail typed as corrupt, never a
+# panic, and the server must keep serving.
+lines = [json.dumps(SEARCH), json.dumps(dict(EVAL, id=2)),
+         json.dumps({"v": 1, "id": 3, "req": "shutdown"})]
 t = run("recovery", lines, pause_before_last=0.3)
-disk = t.get(1, {}).get("result", {}).get("disk", {})
-if disk.get("loaded_entries", 0) != 0 or not str(disk.get("note", "")).startswith("cold start"):
-    sys.exit(f"verify: torn cache not recovered as a typed cold start: {disk}")
+cd = t.get(1, {})
+if cd.get("code") != "search-failed" or "corrupt" not in cd.get("message", ""):
+    sys.exit(f"verify: torn checkpoint not reported as a typed corrupt resume: {cd}")
 if t.get(2, {}).get("kind") != "done":
-    sys.exit(f"verify: eval after torn-cache recovery failed: {t.get(2)}")
-print("   spa-serve transcript OK: typed deadline stop, warm reload, torn-write recovery")
+    sys.exit(f"verify: eval after torn-checkpoint recovery failed: {t.get(2)}")
+print("   spa-serve transcript OK: typed deadline stop, torn checkpoint detected typed")
 EOF
 rm -rf "$SERVE_TMP"
 
@@ -262,8 +272,7 @@ if verbs.get("eval_pu", {}).get("count", 0) <= 0:
     sys.exit("verify: server metrics missing the eval_pu verb histogram")
 
 # Fleet block: every shard must have carried real load in every phase,
-# tail quantiles must be present, the restarted shard must have warmed
-# from its peers' snapshots, and the overload burst must have shed.
+# tail quantiles must be present, and the overload burst must have shed.
 fleet = doc.get("fleet")
 if not fleet:
     sys.exit("verify: BENCH_serve.json has no fleet block")
@@ -279,15 +288,11 @@ for name in ("cold", "warm", "restart"):
     if len(rps) != shards or any(r <= 0 for r in rps):
         sys.exit(f"verify: fleet phase {name} per-shard throughput not "
                  f"all non-zero across {shards} shards: {rps}")
-restart = fleet.get("restart") or {}
-if restart.get("warm_hit_rate", 0) <= 0:
-    sys.exit(f"verify: restarted shard never warmed from snapshots: {restart}")
 overload = fleet.get("overload") or {}
 if overload.get("shed_rate", 0) <= 0 or overload.get("served", 0) <= 0:
     sys.exit(f"verify: overload burst did not shed (or served nothing): {overload}")
 print(f"   bench_serve OK: warm p99 {phases['warm']['p99_us']} us, "
       f"overhead {ratio:.3f}x, queue-wait p99 {qw['p99']} us, "
-      f"fleet warm-hit {restart['warm_hit_rate']}, "
       f"shed {overload['shed_rate']:.2f}")
 EOF
 
@@ -302,7 +307,7 @@ CODESIGN = {"v": 1, "id": 1, "req": "codesign", "model": "alexnet",
             "hw_iters": 4000, "seg_iters": 48, "seed": 3}
 
 # Reference digest: the identical codesign on a plain single-shard
-# spa-serve with a cold cache. The engine is deterministic, so the
+# spa-serve. The engine is deterministic, so the
 # fleet's kill-and-resume run must land on this exact digest.
 env = dict(os.environ)
 env.pop("FAULT_PLAN", None)
