@@ -26,8 +26,8 @@
 //! router — cold/warm/restart phases with per-shard terminal counts (from
 //! the `shard` response tag), a SIGKILL and respawn of the busiest shard
 //! between warm and restart, and an overload burst past the router's
-//! admission watermark for the shed rate. Skipped (with a `fleet:null` report
-//! field) only when no `spa-serve` binary is resolvable.
+//! admission watermark for the shed rate. Skipped (with a `fleet:null`
+//! report field) only when no `spa-serve` binary is resolvable.
 //!
 //! Writes `results/BENCH_serve.json`. Knobs: `BENCH_SERVE_CLIENTS`
 //! (default 4), `BENCH_SERVE_REQS` (requests per client per phase,
