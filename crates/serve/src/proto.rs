@@ -438,7 +438,8 @@ mod tests {
             }
             other => panic!("wrong request: {other:?}"),
         }
-        let fl = parse_request(r#"{"v":1,"id":11,"req":"flush"}"#).expect_err("flush is not a request kind");
+        let fl = parse_request(r#"{"v":1,"id":11,"req":"flush"}"#)
+            .expect_err("flush is not a request kind");
         assert_eq!((fl.code, fl.id), ("unknown-request", Some(11)));
         let neg = parse_request(r#"{"v":1,"id":5,"req":"status","priority":-3}"#).expect("neg prio");
         assert_eq!(neg.priority, -3);
