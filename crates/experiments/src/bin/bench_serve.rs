@@ -13,9 +13,9 @@
 //! long the server has run.
 //!
 //! Per-request latency is measured client-side (submit to terminal
-//! response, including queue wait) into [`obs::HdrHist`] quantile
-//! histograms; server-side decomposition (queue wait, eval, respond) is
-//! pulled over the wire with the `metrics` verb. A final interleaved
+//! response) into [`obs::HdrHist`] quantile histograms; the server-side
+//! decomposition of an `eval_pu` (parse, eval, respond) is pulled over
+//! the wire with the `metrics` verb. A final interleaved
 //! A/B pass measures the overhead of the always-on telemetry by
 //! toggling the flight recorder (`obs::flight::configure`) around
 //! identical warm workloads — the host runs in-process, so the toggle
@@ -512,11 +512,16 @@ fn main() {
     assert_eq!(warm_traced, total, "warm responses missing trace ids");
     assert_eq!(restart_traced, total, "restart responses missing trace ids");
 
-    let queue_wait = mresult
-        .get("stages")
-        .and_then(|s| s.get("queue_wait_us"))
-        .cloned()
-        .unwrap_or(Json::Null);
+    // The stages every `eval_pu` passes through on the server.
+    let eval_stages = Json::Obj(
+        ["parse_us", "eval_us", "respond_us"]
+            .into_iter()
+            .map(|k| {
+                let row = mresult.get("stages").and_then(|s| s.get(k));
+                (k.to_string(), row.cloned().unwrap_or(Json::Null))
+            })
+            .collect(),
+    );
     let phases = Json::Obj(
         [
             phase_json("cold", cold_d, &cold_h),
@@ -530,7 +535,7 @@ fn main() {
         ("clients", Json::from(clients)),
         ("requests_per_client", Json::from(reqs)),
         ("phases", phases),
-        ("queue_wait_us", queue_wait),
+        ("eval_stages_us", eval_stages),
         ("overhead", obj(vec![
             ("baseline_s", Json::from(best_off)),
             ("telemetry_s", Json::from(best_on)),

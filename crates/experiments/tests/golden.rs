@@ -219,7 +219,7 @@ const JSON_VALUE_SKIP: &[&str] = &[
     // thread interleaving. Structural keys (requests, shards, victim,
     // per-shard request counts) are still value-compared.
     "overhead",
-    "queue_wait_us",
+    "eval_stages_us",
     "server_metrics",
     "server_status",
     "fleet.overload.shed",

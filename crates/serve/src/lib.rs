@@ -3,10 +3,10 @@
 //! The crates below this one answer *one* question per process run:
 //! evaluate a PU, segment a model, run a co-design sweep. This crate
 //! turns them into a **service**: a persistent process that many clients
-//! query concurrently over a versioned JSONL protocol, through one
-//! admission-controlled priority queue. Every request evaluates the cost
-//! model directly; searches checkpoint server-side, so a restarted
-//! server resumes them.
+//! query concurrently over a versioned JSONL protocol. An `eval_pu` is
+//! answered from the cost model on its connection's own thread; searches
+//! pass through one admission-controlled priority queue and checkpoint
+//! server-side, so a restarted server resumes them.
 //!
 //! Layering:
 //!
@@ -17,8 +17,9 @@
 //!   [`queue::ShedPolicy`]).
 //! * [`diskcache`] — a disk snapshot of the PU-cost memo; the server
 //!   does not use it.
-//! * [`server`] — the serving core: workers, batching, deadlines,
-//!   cancellation, graceful shutdown with checkpointed searches.
+//! * [`server`] — the serving core: inline `eval_pu` answers, search
+//!   workers, deadlines, cancellation, graceful shutdown with
+//!   checkpointed searches.
 //! * [`ring`] — the deterministic consistent-hash ring for the fleet.
 //! * [`router`] — fan-out of client sessions across shard sockets with
 //!   retry/failover of idempotent work and typed load shedding.

@@ -5,7 +5,10 @@
 //! every response to that request) and a `req` discriminator; work
 //! requests may add `priority` (higher runs first, default 0) and
 //! `deadline_ms` (a per-request wall-clock budget — the server answers
-//! with a typed `partial` instead of blowing through it).
+//! with a typed `partial` instead of blowing through it). An `eval_pu`
+//! is answered as it arrives, so `priority` orders only queued searches
+//! (it is still validated on every request), and of the deadlines only
+//! `deadline_ms: 0` expires before an evaluation ends.
 //!
 //! Grammar (responses mirror `id`):
 //!
@@ -31,11 +34,12 @@
 //!
 //! `metrics` reports the request-grained telemetry the server keeps
 //! always-on (independent of `OBS_LEVEL`): uptime, per-stage latency
-//! quantiles (parse / queue wait / batch formation / eval / search /
-//! respond, in microseconds, p50/p90/p99/p999 within ~3.1%) and per-verb
-//! end-to-end quantiles. With `"flight":true` the response also embeds a
-//! live flight-recorder dump (the last N events per thread, globally
-//! ordered). Like `status` it is answered inline, never queued.
+//! quantiles (parse, then eval and respond for an `eval_pu`, or queue
+//! wait, search and respond for a search; in microseconds,
+//! p50/p90/p99/p999 within ~3.1%) and per-verb end-to-end quantiles.
+//! With `"flight":true` the response also embeds a live flight-recorder
+//! dump (the last N events per thread, globally ordered). Like `status`
+//! it is answered inline, never queued.
 //!
 //! Every response carries `trace` — the server-minted trace id of the
 //! request it answers (omitted only for lines rejected before an id was

@@ -8,9 +8,10 @@
 //! limit, submissions are rejected typed (`overloaded`) instead of
 //! growing without bound.
 //!
-//! The queue itself is single-lock and tiny; batching policy lives in
-//! the scheduler (`server.rs`), which drains *runs of compatible
-//! `eval_pu` jobs* from the front so they share one `DsePool::par_map`.
+//! The queue holds only searches (`segment`, `codesign`), which the
+//! scheduler workers (`server.rs`) pop one at a time. An `eval_pu` is
+//! answered on its connection's reader thread and never enters it, so
+//! the cap never answers one `overloaded`.
 
 use std::collections::BinaryHeap;
 
@@ -156,16 +157,6 @@ impl<J> Admission<J> {
     /// Peeks at the next job without dequeuing it.
     pub fn peek(&self) -> Option<&Queued<J>> {
         self.heap.peek()
-    }
-
-    /// Pops the next job only if `pred` accepts it — how the scheduler
-    /// drains a run of batch-compatible jobs from the front.
-    pub fn pop_if(&mut self, pred: impl Fn(&Queued<J>) -> bool) -> Option<Queued<J>> {
-        if self.heap.peek().is_some_and(|q| pred(q)) {
-            self.pop()
-        } else {
-            None
-        }
     }
 
     /// Marks one previously popped job finished.
@@ -315,18 +306,5 @@ mod tests {
         assert_eq!(tiny.decide(0, 0), ShedDecision::Admit);
         assert_eq!(tiny.decide(0, 1), ShedDecision::ShedSoft);
         assert_eq!(tiny.decide(5, 2), ShedDecision::ShedHard);
-    }
-
-    #[test]
-    fn pop_if_gates_on_head() {
-        let mut q: Admission<u32> = Admission::new(8);
-        q.push(0, 2).expect("admit");
-        q.push(1, 1).expect("admit");
-        assert!(q.pop_if(|j| j.job == 2).is_none(), "head is 1");
-        assert_eq!(q.pop_if(|j| j.job == 1).map(|j| j.job), Some(1));
-        assert_eq!(q.pop_if(|j| j.job == 2).map(|j| j.job), Some(2));
-        assert!(q.pop_if(|_| true).is_none(), "empty");
-        q.finish();
-        q.finish();
     }
 }

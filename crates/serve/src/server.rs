@@ -1,4 +1,4 @@
-//! The serving core: admission, scheduling, batching, execution.
+//! The serving core: admission, scheduling, execution.
 //!
 //! A [`Server`] owns an admission-controlled priority queue and a small
 //! pool of scheduler workers. Clients — one per connection, created with
@@ -7,15 +7,18 @@
 //! ([`crate::run_stdio`], [`crate::run_socket`]) pump lines through this
 //! type, and the integration tests drive it in-process.
 //!
-//! Scheduling: jobs run in `(priority desc, arrival asc)` order. When
-//! the head of the queue is an `eval_pu` job the worker drains the run
-//! of consecutive `eval_pu` jobs behind it (up to [`EVAL_BATCH_MAX`])
-//! and evaluates them in order on its own thread, straight from the cost
-//! model ([`pucost::evaluate`], [`pucost::best_dataflow`]).
-//! `segment`/`codesign` jobs run singly on a `DsePool` sized by
-//! [`ServeConfig::threads`], with deadlines and cancellation propagated
-//! through [`RunCtl`]; codesign state is checkpointed server-side so a
-//! restarted server resumes mid-flight searches bit-identically.
+//! Scheduling: [`Client::submit`] answers `eval_pu`, `status`, `metrics`,
+//! `cancel` and `shutdown` on the calling thread, a connection's reader.
+//! An `eval_pu` costs tens of nanoseconds straight from the cost model
+//! ([`pucost::evaluate`], [`pucost::best_dataflow`]), less than a hand-off
+//! to another thread. Every answer still goes through the client's
+//! channel to the connection's writer, so a reader never blocks on its
+//! socket. Only `segment` and `codesign` are queued: the workers run them
+//! one at a time in `(priority desc, arrival asc)` order on a `DsePool`
+//! sized by [`ServeConfig::threads`], with deadlines and cancellation
+//! propagated through [`RunCtl`]; codesign state is checkpointed
+//! server-side so a restarted server resumes mid-flight searches
+//! bit-identically.
 
 use crate::json::{obj, Json};
 use crate::proto::{
@@ -23,10 +26,10 @@ use crate::proto::{
 };
 use crate::queue::{Admission, AdmitError, Queued};
 use autoseg::codesign::{self, CodesignBudgets, CodesignRun, DesignPoint, Method};
-use autoseg::{AutoSeg, RunCtl, RunStatus, StopReason};
+use autoseg::{AutoSeg, AutoSegError, CheckpointError, RunCtl, RunStatus, StopReason};
 use faultsim::rng::{fnv1a, FNV_OFFSET, FNV_PRIME};
 use obs::HdrHist;
-use pucost::{Dataflow, EnergyModel, LayerDesc, PuConfig, PuEval};
+use pucost::{Dataflow, EnergyModel, PuEval};
 use spa_arch::HwBudget;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -37,9 +40,6 @@ use std::sync::{Arc, Condvar, Mutex};
 // metrics; wall time here shapes *when* work stops (typed Partial), never
 // what any completed generation computed.
 use std::time::{Duration, Instant};
-
-/// Largest `eval_pu` run drained into one batch.
-pub const EVAL_BATCH_MAX: usize = 32;
 
 /// Default admission cap (`SERVE_MAX_INFLIGHT`).
 pub const DEFAULT_MAX_INFLIGHT: usize = 64;
@@ -53,7 +53,7 @@ pub struct ServeConfig {
     pub threads: usize,
     /// Scheduler worker threads.
     pub workers: usize,
-    /// Admission cap: queued + running jobs (`SERVE_MAX_INFLIGHT`).
+    /// Admission cap: queued + running searches (`SERVE_MAX_INFLIGHT`).
     pub max_inflight: usize,
     /// Directory for server-side codesign checkpoints
     /// (`SERVE_CACHE_DIR`); `None` disables them.
@@ -95,7 +95,7 @@ impl ServeConfig {
     }
 }
 
-/// One admitted unit of asynchronous work.
+/// One admitted search (`segment` or `codesign`).
 struct Job {
     conn: u64,
     id: u64,
@@ -117,8 +117,6 @@ struct Metrics {
     completed: AtomicU64,
     partials: AtomicU64,
     errors: AtomicU64,
-    batches: AtomicU64,
-    batched_jobs: AtomicU64,
     wait_ms_total: AtomicU64,
     /// Jobs answered `partial:"deadline"` — admitted work that blew its
     /// wall-clock budget (counted in `partials` too).
@@ -131,12 +129,12 @@ struct Metrics {
 /// remembered to enable tracing. Two maps of fixed-precision quantile
 /// histograms ([`HdrHist`], p50/p90/p99/p999 within ~3.1%):
 ///
-/// * **stages** — where a request's wall time went (`parse_us`,
-///   `queue_wait_us`, `batch_form_us`, `eval_us`, `search_us`,
-///   `respond_us`);
+/// * **stages** — where a request's wall time went: `parse_us` for every
+///   line, then `eval_us` and `respond_us` for an `eval_pu`, or
+///   `queue_wait_us`, `search_us` and `respond_us` for a search;
 /// * **verbs** — end-to-end latency per request kind (admission to
-///   terminal response for queued work; submit to response for inline
-///   verbs).
+///   terminal response for searches; submit to response for the verbs
+///   answered inline).
 ///
 /// Values are microseconds. Each record is one short uncontended mutex
 /// acquisition; when `OBS_LEVEL` is on the value is mirrored into the
@@ -246,7 +244,7 @@ impl Server {
                 std::thread::Builder::new()
                     .name(format!("serve-worker-{w}"))
                     // Workers enter a per-job TraceGuard inside
-                    // worker_loop/execute_*; the spawn itself predates any
+                    // run_search_job; the spawn itself predates any
                     // request. lint: allow(untraced-spawn)
                     .spawn(move || worker_loop(&inner))
                     .unwrap_or_else(|e| {
@@ -305,11 +303,7 @@ fn shutdown_inner(inner: &Arc<Inner>) {
         q.drain()
     };
     for Queued { job, .. } in drained {
-        inner.m.partials.fetch_add(1, Ordering::Relaxed);
-        let _ = job
-            .respond
-            .send(partial_line(job.id, "cancelled", 0, 0, None, job.trace));
-        lock(&inner.cancels).remove(&(job.conn, job.id));
+        answer_unrun(inner, &job, "cancelled");
     }
     for flag in lock(&inner.cancels).values() {
         flag.store(true, Ordering::SeqCst);
@@ -384,8 +378,61 @@ impl Client {
                 self.inner.m.completed.fetch_add(1, Ordering::Relaxed);
                 self.inner.tel.verb("shutdown", t0.elapsed());
             }
+            Request::EvalPu {
+                layer,
+                pu,
+                dataflow,
+            } => self.eval_pu(env.id, env.deadline_ms, trace, t0, || {
+                let em = EnergyModel::tsmc28();
+                match dataflow {
+                    DataflowSel::Fixed(df) => (df, pucost::evaluate(&layer, &pu, df, &em)),
+                    DataflowSel::Best => pucost::best_dataflow(&layer, &pu, &em),
+                }
+            }),
             _ => self.enqueue(env, trace),
         }
+    }
+
+    /// Answers an `eval_pu` on the calling thread. It makes no cancel
+    /// entry, and only `deadline_ms: 0` can expire before the
+    /// evaluation ends.
+    fn eval_pu(
+        &self,
+        id: u64,
+        deadline_ms: Option<u64>,
+        trace: u64,
+        t0: Instant,
+        evaluate: impl FnOnce() -> (Dataflow, PuEval),
+    ) {
+        let (m, tel) = (&self.inner.m, &self.inner.tel);
+        if self.inner.shutdown.load(Ordering::SeqCst) {
+            m.errors.fetch_add(1, Ordering::Relaxed);
+            obs::add("serve.rejected", 1);
+            let e = AdmitError::ShuttingDown;
+            let _ = self
+                .tx
+                .send(error_line(Some(id), "shutting-down", &e.to_string(), trace));
+            return;
+        }
+        if deadline_ms == Some(0) {
+            m.partials.fetch_add(1, Ordering::Relaxed);
+            m.deadline_misses.fetch_add(1, Ordering::Relaxed);
+            let _ = self
+                .tx
+                .send(partial_line(id, "deadline", 0, 0, None, trace));
+            return;
+        }
+        let eval_t0 = Instant::now();
+        let (df, eval) = evaluate();
+        tel.stage("eval_us", eval_t0.elapsed());
+        let respond_t0 = Instant::now();
+        let line = done_line(id, eval_json(df, &eval), trace);
+        // Telemetry first: a client that reads `done` and at once asks
+        // for `metrics` must find its own request counted.
+        m.completed.fetch_add(1, Ordering::Relaxed);
+        tel.verb("eval_pu", t0.elapsed());
+        let _ = self.tx.send(line);
+        tel.stage("respond_us", respond_t0.elapsed());
     }
 
     fn enqueue(&self, env: Envelope, trace: u64) {
@@ -408,12 +455,12 @@ impl Client {
             deadline: deadline_ms.map(|ms| now + Duration::from_millis(ms)),
         };
         // The cancel entry must exist before the job becomes visible to
-        // workers: an eval can pop, run and respond in microseconds,
-        // and the worker's post-response removal has to
-        // find the entry — inserting it after the push would leave a
-        // stale entry behind, and a later `cancel` of the finished id
-        // would answer `cancelled: true`. The same ordering covers a
-        // concurrent shutdown drain.
+        // workers: a search can pop and fail in microseconds (an unknown
+        // model), and the worker's post-response removal has to find the
+        // entry — inserting it after the push would leave a stale entry
+        // behind, and a later `cancel` of the finished id would answer
+        // `cancelled: true`. The same ordering covers a concurrent
+        // shutdown drain.
         lock(&self.inner.cancels).insert((self.conn, id), cancel);
         let admitted = lock(&self.inner.queue).push(priority, job);
         match admitted {
@@ -472,11 +519,6 @@ fn status_json(inner: &Inner) -> Json {
                 ("completed", Json::from(inner.m.completed.load(Ordering::Relaxed))),
                 ("partials", Json::from(inner.m.partials.load(Ordering::Relaxed))),
                 ("errors", Json::from(inner.m.errors.load(Ordering::Relaxed))),
-                ("batches", Json::from(inner.m.batches.load(Ordering::Relaxed))),
-                (
-                    "batched_jobs",
-                    Json::from(inner.m.batched_jobs.load(Ordering::Relaxed)),
-                ),
                 (
                     "wait_ms_total",
                     Json::from(inner.m.wait_ms_total.load(Ordering::Relaxed)),
@@ -534,148 +576,37 @@ fn metrics_json(inner: &Inner, flight: bool) -> Json {
     obj(fields)
 }
 
-/// Scheduler worker: pop → (batch) execute → respond, until shutdown
-/// has drained the queue.
+/// Scheduler worker: pop → run → respond, until shutdown has drained
+/// the queue.
 fn worker_loop(inner: &Arc<Inner>) {
     loop {
-        let (batch, formed) = {
+        let job = {
             let mut q = lock(&inner.queue);
             loop {
-                if let Some(first) = q.pop() {
-                    let t0 = Instant::now();
-                    let batch = collect_batch(&mut q, first);
-                    break (batch, t0.elapsed());
+                if let Some(next) = q.pop() {
+                    break next.job;
                 }
                 if q.is_closed() {
                     return;
                 }
-                q = inner
-                    .cv
-                    .wait(q)
-                    .unwrap_or_else(|e| e.into_inner());
+                q = inner.cv.wait(q).unwrap_or_else(|e| e.into_inner());
             }
         };
-        inner.tel.stage("batch_form_us", formed);
-        let n = batch.len();
-        execute_batch(inner, batch);
-        let mut q = lock(&inner.queue);
-        for _ in 0..n {
-            q.finish();
-        }
-        drop(q);
-        inner.cv.notify_all();
+        run_search_job(inner, job);
+        lock(&inner.queue).finish();
     }
 }
 
-/// Starting from `first`, drains the run of batch-compatible `eval_pu`
-/// jobs at the head of the queue. Non-eval jobs run alone.
-fn collect_batch(q: &mut Admission<Job>, first: Queued<Job>) -> Vec<Job> {
-    let mut batch = vec![first.job];
-    if matches!(batch[0].request, Request::EvalPu { .. }) {
-        while batch.len() < EVAL_BATCH_MAX {
-            match q.pop_if(|j| matches!(j.job.request, Request::EvalPu { .. })) {
-                Some(next) => batch.push(next.job),
-                None => break,
-            }
-        }
+/// Answers a job that stops before it runs with a typed `partial`.
+fn answer_unrun(inner: &Inner, job: &Job, reason: &str) {
+    inner.m.partials.fetch_add(1, Ordering::Relaxed);
+    if reason == "deadline" {
+        inner.m.deadline_misses.fetch_add(1, Ordering::Relaxed);
     }
-    batch
-}
-
-fn record_wait(inner: &Inner, job: &Job) {
-    let waited = job.admitted_at.elapsed();
-    let ms = u64::try_from(waited.as_millis()).unwrap_or(u64::MAX);
-    inner.m.wait_ms_total.fetch_add(ms, Ordering::Relaxed);
-    inner.tel.stage("queue_wait_us", waited);
-    obs::record("serve.wait_ms", ms);
-}
-
-/// `Some(remaining)` when a deadline exists and has not yet expired.
-fn remaining(job: &Job) -> Option<Result<Duration, ()>> {
-    let d = job.deadline?;
-    let now = Instant::now();
-    if now >= d {
-        Some(Err(()))
-    } else {
-        Some(Ok(d - now))
-    }
-}
-
-fn execute_batch(inner: &Arc<Inner>, batch: Vec<Job>) {
-    let _span = obs::span!("serve.batch", jobs = batch.len());
-    if batch.len() > 1 {
-        inner.m.batches.fetch_add(1, Ordering::Relaxed);
-        inner
-            .m
-            .batched_jobs
-            .fetch_add(pucost::util::u64_of(batch.len()), Ordering::Relaxed);
-        obs::record("serve.batch_size", pucost::util::u64_of(batch.len()));
-    }
-    // Partition: jobs still eligible to run vs. already cancelled/expired
-    // (answered typed without any work).
-    let mut evals: Vec<(Job, LayerDesc, PuConfig, DataflowSel)> = Vec::new();
-    for job in batch {
-        record_wait(inner, &job);
-        if job.cancel.load(Ordering::SeqCst) {
-            inner.m.partials.fetch_add(1, Ordering::Relaxed);
-            let _ = job
-                .respond
-                .send(partial_line(job.id, "cancelled", 0, 0, None, job.trace));
-            lock(&inner.cancels).remove(&(job.conn, job.id));
-            continue;
-        }
-        if matches!(remaining(&job), Some(Err(()))) {
-            inner.m.partials.fetch_add(1, Ordering::Relaxed);
-            inner.m.deadline_misses.fetch_add(1, Ordering::Relaxed);
-            let _ = job
-                .respond
-                .send(partial_line(job.id, "deadline", 0, 0, None, job.trace));
-            lock(&inner.cancels).remove(&(job.conn, job.id));
-            continue;
-        }
-        if let Request::EvalPu {
-            layer,
-            pu,
-            dataflow,
-        } = job.request
-        {
-            evals.push((job, layer, pu, dataflow));
-        } else {
-            run_search_job(inner, job);
-        }
-    }
-    let Some((first, ..)) = evals.first() else {
-        return;
-    };
-    // The batch shares one trace context: the first job's id.
-    let _t = obs::TraceGuard::enter(first.trace);
-    obs::flight::note(
-        "serve.batch",
-        first.trace,
-        pucost::util::u64_of(evals.len()),
-    );
-    let em = EnergyModel::tsmc28();
-    let eval_t0 = Instant::now();
-    let results: Vec<(Dataflow, PuEval)> = evals
-        .iter()
-        .map(|(_, layer, pu, sel)| match sel {
-            DataflowSel::Fixed(df) => (*df, pucost::evaluate(layer, pu, *df, &em)),
-            DataflowSel::Best => pucost::best_dataflow(layer, pu, &em),
-        })
-        .collect();
-    inner.tel.stage("eval_us", eval_t0.elapsed());
-    let respond_t0 = Instant::now();
-    for ((job, ..), (df, eval)) in evals.into_iter().zip(results) {
-        // Telemetry first: a client that reads `done` and at once asks
-        // for `metrics` must find its own request counted.
-        inner.m.completed.fetch_add(1, Ordering::Relaxed);
-        inner.tel.verb("eval_pu", job.admitted_at.elapsed());
-        let _ = job
-            .respond
-            .send(done_line(job.id, eval_json(df, &eval), job.trace));
-        lock(&inner.cancels).remove(&(job.conn, job.id));
-    }
-    inner.tel.stage("respond_us", respond_t0.elapsed());
+    let _ = job
+        .respond
+        .send(partial_line(job.id, reason, 0, 0, None, job.trace));
+    lock(&inner.cancels).remove(&(job.conn, job.id));
 }
 
 fn eval_json(df: Dataflow, e: &PuEval) -> Json {
@@ -706,21 +637,25 @@ fn stop_reason_label(r: StopReason) -> &'static str {
 /// [`RunCtl`]) and sends its response(s).
 fn run_search_job(inner: &Arc<Inner>, job: Job) {
     let _t = obs::TraceGuard::enter(job.trace);
+    let waited = job.admitted_at.elapsed();
+    let ms = u64::try_from(waited.as_millis()).unwrap_or(u64::MAX);
+    inner.m.wait_ms_total.fetch_add(ms, Ordering::Relaxed);
+    inner.tel.stage("queue_wait_us", waited);
+    obs::record("serve.wait_ms", ms);
+    if job.cancel.load(Ordering::SeqCst) {
+        answer_unrun(inner, &job, "cancelled");
+        return;
+    }
     let mut ctl = RunCtl::none().cancel_flag(Arc::clone(&job.cancel));
-    match remaining(&job) {
-        Some(Ok(left)) => ctl = ctl.deadline(left),
-        // Expired between execute_batch's check and here: answer the
-        // typed deadline partial instead of running unbounded.
-        Some(Err(())) => {
-            inner.m.partials.fetch_add(1, Ordering::Relaxed);
-            inner.m.deadline_misses.fetch_add(1, Ordering::Relaxed);
-            let _ = job
-                .respond
-                .send(partial_line(job.id, "deadline", 0, 0, None, job.trace));
-            lock(&inner.cancels).remove(&(job.conn, job.id));
+    if let Some(deadline) = job.deadline {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            // Expired while queued: answer the typed deadline partial
+            // without running.
+            answer_unrun(inner, &job, "deadline");
             return;
         }
-        None => {}
+        ctl = ctl.deadline(left);
     }
     let _ = job.respond.send(progress_line(job.id, "running", job.trace));
     let search_t0 = Instant::now();
@@ -739,7 +674,7 @@ fn run_search_job(inner: &Arc<Inner>, job: Job) {
     };
     inner.tel.stage("search_us", search_t0.elapsed());
     let respond_t0 = Instant::now();
-    // Telemetry before the send, as in `execute_batch`.
+    // Telemetry before the send, as for an `eval_pu`.
     let line = match outcome {
         Ok((RunStatus::Complete, result)) => {
             inner.m.completed.fetch_add(1, Ordering::Relaxed);
@@ -845,13 +780,20 @@ fn run_codesign(
             ctl = ctl.resume(path);
         }
     }
-    let run: CodesignRun = codesign::run_codesign(&graph, &hw, &budgets, method, &ctl)
-        .map_err(|e| ("search-failed", e.to_string()))?;
-    if run.status.is_complete() {
-        if let Some(path) = &ckpt {
-            let _ = std::fs::remove_file(path);
-        }
+    let run = codesign::run_codesign(&graph, &hw, &budgets, method, &ctl);
+    // A finished search needs its checkpoint no more, and one that does
+    // not load (torn, another version or configuration) would fail every
+    // later resume: either way the next identical submission starts
+    // fresh. After an I/O error the file stays for a retry.
+    let spent = match &run {
+        Ok(run) => run.status.is_complete(),
+        Err(AutoSegError::Checkpoint(e)) => !matches!(e, CheckpointError::Io { .. }),
+        Err(_) => false,
+    };
+    if let (true, Some(path)) = (spent, &ckpt) {
+        let _ = std::fs::remove_file(path);
     }
+    let run: CodesignRun = run.map_err(|e| ("search-failed", e.to_string()))?;
     Ok((run.status, codesign_json(&run.points)))
 }
 

@@ -13,9 +13,15 @@
 //!   to an uninterrupted run of the same request.
 //! * **Deadlines**: a mid-request `deadline_ms` produces a typed
 //!   `partial` with `reason:"deadline"`, never a hang or a panic.
-//! * **Cancel entries**: a finished request leaves none behind (entries
-//!   are registered before a job is worker-visible), so a later
-//!   `cancel` of its id answers `cancelled: false`.
+//! * **Cancel entries**: a finished request leaves none behind (an
+//!   `eval_pu` makes none; a search registers its entry before a worker
+//!   can see it), so a later `cancel` of its id answers
+//!   `cancelled: false`.
+//! * **Inline evaluation**: an `eval_pu` answers while every worker runs
+//!   a search.
+//! * **Torn checkpoints**: a server-side codesign checkpoint that does
+//!   not load fails one submission typed and is removed, so the next
+//!   identical submission starts fresh.
 //! * **Fronts**: a `--stdio` session answers while its input is idle and
 //!   answers everything admitted before EOF; over a socket, each answer
 //!   is written the moment it is ready (closed-loop round trips, 4,000
@@ -497,7 +503,15 @@ fn metrics_verb_reports_telemetry_with_stable_rendering() {
     assert!(result.get("flight").is_some(), "flight dump embedded: {result:?}");
     assert!(result.get("recorder").is_some(), "{result:?}");
     // The extended status surface rides along: uptime, queue high-water
-    // mark, deadline-miss counter.
+    // mark, deadline-miss counter. An `eval_pu` never queues, so queue a
+    // search (one that fails at once) to move the high-water mark.
+    client.submit(r#"{"v":1,"id":4,"req":"segment","model":"no_such_model","budget":"eyeriss"}"#);
+    let failed = terminal_for(&answers, 4);
+    assert_eq!(
+        failed.get("code").and_then(Json::as_str),
+        Some("unknown-model"),
+        "{failed:?}"
+    );
     let st = status_of(&client, &answers, 3);
     assert!(st.get("uptime_ms").and_then(Json::as_u64).is_some(), "{st:?}");
     let hw = st
@@ -519,32 +533,55 @@ fn metrics_verb_reports_telemetry_with_stable_rendering() {
 
 #[test]
 fn cancel_interrupts_a_queued_request() {
-    // One worker, occupied by a long search; the second request is still
+    // One worker, occupied by a long search; the second search is still
     // queued when the cancel lands, so it answers `partial:cancelled`
-    // without running.
+    // without running. Had the first search already ended, the second
+    // one stops at its next generation boundary instead: `mip-baye`
+    // crosses one per hardware candidate, so it answers `cancelled`
+    // either way.
     let server = Server::start(ServeConfig {
         workers: 1,
         threads: 1,
         ..ServeConfig::default()
     });
     let (client, answers) = server.client();
-    client.submit(&codesign_line(1, "mip-heuristic", 6, 600, ",\"deadline_ms\":2000"));
-    client.submit(&eval_line(2, 1, ""));
+    client.submit(&codesign_line(
+        1,
+        "mip-heuristic",
+        6,
+        600,
+        ",\"deadline_ms\":2000",
+    ));
+    client.submit(&codesign_line(
+        2,
+        "mip-baye",
+        4000,
+        48,
+        ",\"deadline_ms\":30000",
+    ));
     client.submit(r#"{"v":1,"id":3,"req":"cancel","target":2}"#);
     let mut resps = collect_terminals(&answers, &[1, 2, 3]);
     let cancel_resp = resps.remove(&3).expect("cancel response");
     assert_eq!(cancel_resp.get("kind").and_then(Json::as_str), Some("done"));
-    let v = resps.remove(&2).expect("eval response");
-    match v.get("kind").and_then(Json::as_str) {
-        Some("partial") => {
-            assert_eq!(v.get("reason").and_then(Json::as_str), Some("cancelled"), "{v:?}");
-        }
-        // Lost the race: the eval ran before the cancel landed. Legal —
-        // the cancel then reports found or not depending on exactly when
-        // it interleaved with the response, so only the kind is pinned.
-        Some("done") => {}
-        other => panic!("unexpected terminal kind {other:?}: {v:?}"),
-    }
+    assert_eq!(
+        cancel_resp
+            .get("result")
+            .and_then(|r| r.get("cancelled"))
+            .and_then(Json::as_bool),
+        Some(true),
+        "{cancel_resp:?}"
+    );
+    let v = resps.remove(&2).expect("queued search response");
+    assert_eq!(
+        v.get("kind").and_then(Json::as_str),
+        Some("partial"),
+        "{v:?}"
+    );
+    assert_eq!(
+        v.get("reason").and_then(Json::as_str),
+        Some("cancelled"),
+        "{v:?}"
+    );
     let first = resps.remove(&1).expect("codesign response");
     assert!(
         matches!(
@@ -555,6 +592,106 @@ fn cancel_interrupts_a_queued_request() {
     );
     server.shutdown();
     server.join();
+}
+
+#[test]
+fn eval_pu_answers_while_every_worker_runs_a_search() {
+    // An `eval_pu` is answered on the submitting thread, so it does not
+    // wait for a worker: here the one worker runs a search that has
+    // thousands of generations and a 30 s deadline left when the eval
+    // answers.
+    let server = Server::start(ServeConfig {
+        workers: 1,
+        threads: 1,
+        ..ServeConfig::default()
+    });
+    let (client, answers) = server.client();
+    client.submit(&codesign_line(
+        1,
+        "mip-baye",
+        4000,
+        48,
+        ",\"deadline_ms\":30000",
+    ));
+    let line = answers
+        .recv_timeout(test_timeout())
+        .expect("search picked up");
+    let v = serve::json::parse(&line).expect("json");
+    assert_eq!(
+        v.get("kind").and_then(Json::as_str),
+        Some("progress"),
+        "{v:?}"
+    );
+    client.submit(&eval_line(2, 1, ""));
+    let line = answers.recv_timeout(test_timeout()).expect("eval answer");
+    let v = serve::json::parse(&line).expect("json");
+    assert_eq!(
+        v.get("id").and_then(Json::as_u64),
+        Some(2),
+        "eval answers first: {v:?}"
+    );
+    assert_eq!(v.get("kind").and_then(Json::as_str), Some("done"), "{v:?}");
+    client.submit(r#"{"v":1,"id":3,"req":"cancel","target":1}"#);
+    let resps = collect_terminals(&answers, &[1, 3]);
+    assert_eq!(
+        resps[&1].get("reason").and_then(Json::as_str),
+        Some("cancelled"),
+        "{:?}",
+        resps[&1]
+    );
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn torn_codesign_checkpoint_fails_once_then_starts_fresh() {
+    let search = codesign_line(1, "mip-heuristic", 6, 48, "");
+    let digest = |v: &Json| {
+        assert_eq!(v.get("kind").and_then(Json::as_str), Some("done"), "{v:?}");
+        v.get("result")
+            .and_then(|r| r.get("digest"))
+            .and_then(Json::as_str)
+            .expect("digest")
+            .to_string()
+    };
+    let reference = {
+        let server = Server::start(ServeConfig {
+            workers: 1,
+            threads: 1,
+            ..ServeConfig::default()
+        });
+        let (client, answers) = server.client();
+        client.submit(&search);
+        let d = digest(&terminal_for(&answers, 1));
+        server.shutdown();
+        server.join();
+        d
+    };
+    let dir = tmpdir("codesign-torn");
+    let ckpt = dir.join("codesign-alexnet-eyeriss-mip-heuristic-6-48-3.ckpt");
+    std::fs::write(&ckpt, "not a checkpoint\n").expect("write garbage");
+    let server = Server::start(ServeConfig {
+        workers: 1,
+        threads: 1,
+        cache_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    });
+    let (client, answers) = server.client();
+    client.submit(&search);
+    let v = terminal_for(&answers, 1);
+    assert_eq!(
+        v.get("code").and_then(Json::as_str),
+        Some("search-failed"),
+        "{v:?}"
+    );
+    let message = v.get("message").and_then(Json::as_str).unwrap_or_default();
+    assert!(message.contains("corrupt"), "{v:?}");
+    assert!(!ckpt.exists(), "the torn checkpoint is removed");
+    client.submit(&search.replace("\"id\":1,", "\"id\":2,"));
+    assert_eq!(digest(&terminal_for(&answers, 2)), reference);
+    server.shutdown();
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -582,15 +719,24 @@ fn stdio_answers_every_admitted_request_before_eof_ends_the_session() {
     assert_eq!(v.get("kind").and_then(Json::as_str), Some("done"), "{v:?}");
 }
 
-/// A [`serve::run_socket`] server on its own thread.
+/// A [`serve::run_socket`] server on its own thread. Dropping it
+/// removes the directory of its socket.
 struct Hosted {
+    dir: PathBuf,
     sock: PathBuf,
     /// Receives `run_socket`'s result when it returns.
     stopped: Receiver<std::io::Result<()>>,
 }
 
+impl Drop for Hosted {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
 fn host(name: &str, cfg: ServeConfig) -> Hosted {
-    let sock = tmpdir(name).join("serve.sock");
+    let dir = tmpdir(name);
+    let sock = dir.join("serve.sock");
     let (tx, stopped) = std::sync::mpsc::channel();
     let path = sock.clone();
     std::thread::spawn(move || {
@@ -598,7 +744,7 @@ fn host(name: &str, cfg: ServeConfig) -> Hosted {
         static NEVER: AtomicBool = AtomicBool::new(false);
         let _ = tx.send(serve::run_socket(&path, cfg, &NEVER));
     });
-    Hosted { sock, stopped }
+    Hosted { dir, sock, stopped }
 }
 
 /// Connects to a hosted server (retrying while it binds). Reads and

@@ -245,8 +245,8 @@ rm -rf "$SERVE_TMP"
 echo "== bench_serve: socket service bench, telemetry gates (smoke) =="
 # Small-N smoke of the request-grained telemetry stack: the unix-socket
 # bench must produce real throughput in every phase, tail quantiles per
-# phase, server-side queue-wait decomposition, and a telemetry overhead
-# ratio inside the 10% budget.
+# phase, the server-side decomposition of eval_pu (parse, eval, respond),
+# and a telemetry overhead ratio inside the 10% budget.
 BENCH_SERVE_CLIENTS=2 BENCH_SERVE_REQS=8 \
     cargo run --release --offline -p experiments --bin bench_serve
 python3 - <<'EOF'
@@ -264,9 +264,11 @@ for name in ("cold", "warm", "restart"):
 ratio = (doc.get("overhead") or {}).get("ratio", 99)
 if ratio >= 1.10:
     sys.exit(f"verify: telemetry overhead {ratio}x exceeds the 10% budget")
-qw = doc.get("queue_wait_us") or {}
-if qw.get("count", 0) <= 0 or "p99" not in qw:
-    sys.exit(f"verify: no queue-wait decomposition in server metrics: {qw}")
+stages = doc.get("eval_stages_us") or {}
+for key in ("parse_us", "eval_us", "respond_us"):
+    row = stages.get(key) or {}
+    if row.get("count", 0) <= 0 or "p99" not in row:
+        sys.exit(f"verify: no eval_pu {key} decomposition in server metrics: {stages}")
 verbs = (doc.get("server_metrics") or {}).get("verbs") or {}
 if verbs.get("eval_pu", {}).get("count", 0) <= 0:
     sys.exit("verify: server metrics missing the eval_pu verb histogram")
@@ -292,7 +294,7 @@ overload = fleet.get("overload") or {}
 if overload.get("shed_rate", 0) <= 0 or overload.get("served", 0) <= 0:
     sys.exit(f"verify: overload burst did not shed (or served nothing): {overload}")
 print(f"   bench_serve OK: warm p99 {phases['warm']['p99_us']} us, "
-      f"overhead {ratio:.3f}x, queue-wait p99 {qw['p99']} us, "
+      f"overhead {ratio:.3f}x, eval p99 {stages['eval_us']['p99']} us, "
       f"shed {overload['shed_rate']:.2f}")
 EOF
 
