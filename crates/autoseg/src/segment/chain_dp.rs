@@ -255,6 +255,27 @@ mod tests {
     }
 
     #[test]
+    fn schedules_match_pinned_digest() {
+        // Every schedule of N <= 8 PUs and S <= 12 segments over the
+        // evaluation models, hashed: any change to a range's CTC, a cut,
+        // a tie-break or a binding moves the digest.
+        let seg = ChainDpSegmenter::new();
+        let mut text = String::new();
+        let mut shapes = 0;
+        for g in zoo::evaluation_models() {
+            let w = Workload::from_graph(&g);
+            for n in 1..=8 {
+                for s in (1..=12).take_while(|&s| n * s <= w.len()) {
+                    text.push_str(&format!("{:?}\n", seg.segment(&w, n, s).unwrap()));
+                    shapes += 1;
+                }
+            }
+        }
+        assert_eq!(shapes, 551);
+        assert_eq!(faultsim::rng::fnv1a(text.as_bytes()), 0x4954_9e47_3d05_4b8f);
+    }
+
+    #[test]
     fn resnet152_segments_quickly() {
         let seg = ChainDpSegmenter::new();
         let w = Workload::from_graph(&zoo::resnet152());
