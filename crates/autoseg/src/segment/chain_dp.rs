@@ -7,7 +7,11 @@
 //! subspace:
 //!
 //! 1. an `O(S * L^2)` max-min dynamic program picks the `S - 1` cut points
-//!    maximizing the minimum segment CTC ratio (Eq. 5), and
+//!    maximizing the minimum segment CTC ratio (Eq. 5). A range's CTC
+//!    depends only on the workload, so each call first fills a table of
+//!    the exact DRAM bytes of every contiguous range in one
+//!    `O(L^2 + L * E)` pass (`E` producer edges, see `RangeTraffic`), and
+//!    every DP cell reads its CTC from it; and
 //! 2. within each segment, a linear-partition DP splits the items into `N`
 //!    balanced contiguous blocks which are then bound to PUs *by load
 //!    rank* — the heaviest block of every segment lands on the same PU, so
@@ -36,23 +40,59 @@ impl ChainDpSegmenter {
     }
 }
 
-/// DRAM bytes of the contiguous item range `[i, j)` under pipelined
-/// execution, with consumer lists precomputed.
-fn range_access(w: &Workload, consumers: &[Vec<usize>], i: usize, j: usize) -> u64 {
-    let mut bytes = 0;
-    for m in i..j {
-        let it = &w.items()[m];
-        bytes += it.w_bytes + it.extern_in_bytes;
-        for &(p, b) in &it.preds {
-            if p < i {
-                bytes += b;
+/// Exact pipelined DRAM bytes of every contiguous item range `[i, j)`,
+/// built in one `O(L^2 + L*E)` pass over `L` items and `E` producer edges.
+///
+/// For each start `i` the range grows one item `m` at a time: `m` adds its
+/// weights, external input, reads from producers before `i` and its output;
+/// every item of the range whose last consumer is `m` then stops writing
+/// its output to DRAM. An item with no consumer (a network output) always
+/// writes. This is [`Workload::pipelined_access`] of `i..j`, to the byte.
+struct RangeTraffic {
+    l: usize,
+    /// `bytes[i * l + j - 1]` holds `[i, j)`; entries with `j <= i` are
+    /// unused.
+    bytes: Vec<u64>,
+}
+
+impl RangeTraffic {
+    fn new(w: &Workload) -> Self {
+        let (l, items) = (w.len(), w.items());
+        // last_use[c]: the items whose last consumer is `c`.
+        let mut last_use = vec![Vec::new(); l];
+        for m in 0..l {
+            if let Some(&c) = w.consumers(m).last() {
+                last_use[c].push(m);
             }
         }
-        if consumers[m].is_empty() || consumers[m].iter().any(|&c| c >= j) {
-            bytes += it.out_bytes;
+        let mut bytes = vec![0; l * l];
+        for i in 0..l {
+            let mut acc = 0u64;
+            for (m, it) in items.iter().enumerate().skip(i) {
+                acc += it.w_bytes + it.extern_in_bytes + it.out_bytes;
+                acc += it
+                    .preds
+                    .iter()
+                    .filter(|&&(p, _)| p < i)
+                    .map(|&(_, b)| b)
+                    .sum::<u64>();
+                // Each such item entered the range earlier (producers
+                // precede their consumers), so this never underflows.
+                acc -= last_use[m]
+                    .iter()
+                    .filter(|&&p| p >= i)
+                    .map(|&p| items[p].out_bytes)
+                    .sum::<u64>();
+                bytes[i * l + m] = acc;
+            }
         }
+        Self { l, bytes }
     }
-    bytes
+
+    /// DRAM bytes of `[i, j)` under pipelined execution (`i < j`).
+    fn get(&self, i: usize, j: usize) -> u64 {
+        self.bytes[i * self.l + j - 1]
+    }
 }
 
 impl Segmenter for ChainDpSegmenter {
@@ -71,8 +111,8 @@ impl Segmenter for ChainDpSegmenter {
             });
         }
 
-        // Precompute consumers and per-range CTC.
-        let consumers: Vec<Vec<usize>> = (0..l).map(|i| workload.consumers(i)).collect();
+        // Every range's traffic once; each DP cell reads its CTC from it.
+        let traffic = RangeTraffic::new(workload);
         let ops: Vec<u64> = workload.items().iter().map(|it| it.ops).collect();
         let prefix_ops: Vec<u64> = {
             let mut p = vec![0u64];
@@ -82,8 +122,7 @@ impl Segmenter for ChainDpSegmenter {
             p
         };
         let ctc = |i: usize, j: usize| -> f64 {
-            (prefix_ops[j] - prefix_ops[i]) as f64
-                / range_access(workload, &consumers, i, j).max(1) as f64
+            (prefix_ops[j] - prefix_ops[i]) as f64 / traffic.get(i, j).max(1) as f64
         };
 
         // Max-min DP over cut points. dp[s][j]: first j items in s segments.
@@ -252,6 +291,25 @@ mod tests {
         let m2 = metrics(&w, &seg.segment(&w, 2, 2).unwrap());
         let m6 = metrics(&w, &seg.segment(&w, 2, 6).unwrap());
         assert!(m6.min_ctc <= m2.min_ctc + 1e-9);
+    }
+
+    #[test]
+    fn range_traffic_equals_pipelined_access() {
+        for g in zoo::evaluation_models() {
+            let w = Workload::from_graph(&g);
+            let traffic = RangeTraffic::new(&w);
+            for i in 0..w.len() {
+                for j in i + 1..=w.len() {
+                    let members: Vec<usize> = (i..j).collect();
+                    assert_eq!(
+                        traffic.get(i, j),
+                        w.pipelined_access(&members),
+                        "{} [{i}, {j})",
+                        g.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]
