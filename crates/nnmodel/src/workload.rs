@@ -120,6 +120,10 @@ pub struct Workload {
     name: String,
     dtype: Dtype,
     items: Vec<WorkItem>,
+    /// Every item's consumers, ascending, in one flat array: item `i`'s
+    /// are `consumers[consumer_start[i]..consumer_start[i + 1]]`.
+    consumers: Vec<usize>,
+    consumer_start: Vec<usize>,
 }
 
 impl Workload {
@@ -317,10 +321,40 @@ impl Workload {
             }
         }
 
+        // Consumer lists, built after the fold (an add may still append a
+        // skip input to an earlier host). Each (producer, consumer) edge
+        // counts once, however often the consumer lists the producer.
+        let edges = || {
+            items.iter().flat_map(|it| {
+                it.preds
+                    .iter()
+                    .enumerate()
+                    .filter(|&(k, &(p, _))| it.preds[..k].iter().all(|&(q, _)| q != p))
+                    .map(move |(_, &(p, _))| (p, it.index))
+            })
+        };
+        let mut consumer_start = vec![0; items.len() + 1];
+        for (p, _) in edges() {
+            consumer_start[p + 1] += 1;
+        }
+        let mut total = 0;
+        for start in &mut consumer_start {
+            total += *start;
+            *start = total;
+        }
+        let mut next = consumer_start.clone();
+        let mut consumers = vec![0; total];
+        for (p, c) in edges() {
+            consumers[next[p]] = c;
+            next[p] += 1;
+        }
+
         Ok(Self {
             name: graph.name().to_string(),
             dtype,
             items,
+            consumers,
+            consumer_start,
         })
     }
 
@@ -359,13 +393,9 @@ impl Workload {
         self.items.iter().map(WorkItem::access).sum()
     }
 
-    /// Items that consume item `i`'s output.
-    pub fn consumers(&self, i: usize) -> Vec<usize> {
-        self.items
-            .iter()
-            .filter(|it| it.preds.iter().any(|&(p, _)| p == i))
-            .map(|it| it.index)
-            .collect()
+    /// Items that consume item `i`'s output, in ascending order.
+    pub fn consumers(&self, i: usize) -> &[usize] {
+        &self.consumers[self.consumer_start[i]..self.consumer_start[i + 1]]
     }
 
     /// DRAM bytes of a *pipelined* execution of the item set `members`
@@ -531,7 +561,23 @@ mod tests {
     #[test]
     fn consumers_inverse_of_preds() {
         let w = Workload::from_graph(&chain());
-        assert_eq!(w.consumers(0), vec![1]);
-        assert_eq!(w.consumers(2), Vec::<usize>::new());
+        assert_eq!(w.consumers(0), &[1]);
+        assert_eq!(w.consumers(2), &[]);
+    }
+
+    #[test]
+    fn consumer_lists_match_a_scan_of_preds() {
+        for g in crate::zoo::evaluation_models() {
+            let w = Workload::from_graph(&g);
+            for i in 0..w.len() {
+                let scan: Vec<usize> = w
+                    .items()
+                    .iter()
+                    .filter(|it| it.preds.iter().any(|&(p, _)| p == i))
+                    .map(|it| it.index)
+                    .collect();
+                assert_eq!(w.consumers(i), scan, "{} item {i}", g.name());
+            }
+        }
     }
 }
