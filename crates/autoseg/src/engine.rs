@@ -291,21 +291,36 @@ impl AutoSeg {
         // One shape's candidate, built and simulated independently of all
         // others (the parallel sweep stays bit-identical to the serial
         // one: results are folded in enumeration order).
+        // Each stage runs in its own span, so an `OBS_LEVEL=summary` run
+        // splits the sweep's time between them.
         let eval_shape = |&(n, s): &(usize, usize)| {
-            let Ok(schedule) = self.segmenter.segment(&workload, n, s) else {
+            let schedule = {
+                let _span = obs::span!("autoseg.engine.segment");
+                self.segmenter.segment(&workload, n, s)
+            };
+            let Ok(schedule) = schedule else {
                 return (false, None);
             };
-            let Ok(design) = allocate(&workload, &schedule, &self.budget, self.goal) else {
+            let design = {
+                let _span = obs::span!("autoseg.engine.allocate");
+                allocate(&workload, &schedule, &self.budget, self.goal)
+            };
+            let Ok(design) = design else {
                 return (false, None);
             };
-            if !design.fits(&self.budget) {
+            // The design must fit, and the fabric must be able to realize
+            // every segment.
+            let routable = {
+                let _span = obs::span!("autoseg.engine.route");
+                design.fits(&self.budget) && design.segment_routings(&workload).is_ok()
+            };
+            if !routable {
                 return (true, None);
             }
-            // The fabric must be able to realize every segment.
-            if design.segment_routings(&workload).is_err() {
-                return (true, None);
-            }
-            let report = simulate_spa(&workload, &design);
+            let report = {
+                let _span = obs::span!("autoseg.engine.simulate");
+                simulate_spa(&workload, &design)
+            };
             let metric = match self.goal {
                 DesignGoal::Latency => report.seconds,
                 DesignGoal::Throughput => 1.0 / report.gops().max(1e-12),

@@ -20,7 +20,8 @@
 //! `--checkpoint` persists sweep state every N generations and `--resume`
 //! continues bit-identically from it.
 //! `FAULT_PLAN` arms the deterministic fault-injection points (see
-//! `crates/faultsim`).
+//! `crates/faultsim`). `OBS_LEVEL=summary` prints the run's span report
+//! (the engine's segment / allocate / route / simulate split) to stderr.
 
 use deepburning_seg::prelude::*;
 use deepburning_seg::spa_codegen;
@@ -213,5 +214,7 @@ fn main() -> ExitCode {
     }
     println!("wrote {}", manifest_path.display());
     println!("wrote {}", rtl_path.display());
+    // Under `OBS_LEVEL=summary`, the engine's per-stage split on stderr.
+    deepburning_seg::obs::finish();
     ExitCode::SUCCESS
 }
