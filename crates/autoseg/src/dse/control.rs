@@ -168,7 +168,7 @@ impl RunCtl {
     pub fn should_checkpoint(&self, completed_gens: u64) -> bool {
         self.checkpoint_path.is_some()
             && completed_gens > 0
-            && completed_gens % self.checkpoint_every.max(1) == 0
+            && completed_gens.is_multiple_of(self.checkpoint_every.max(1))
     }
 
     /// Checks the stop conditions with `completed_gens` generations done.

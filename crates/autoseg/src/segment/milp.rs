@@ -193,12 +193,10 @@ fn formulate(
     };
 
     // Eq. 2: exactly one (n, s) per item; at least one item per (n, s).
-    for li in 0..l {
+    for lam_l in &lam {
         let mut e = LinExpr::new();
-        for ni in 0..n {
-            for si in 0..s_max {
-                e.add_term(lam[li][ni][si], 1.0);
-            }
+        for &v in lam_l.iter().flatten() {
+            e.add_term(v, 1.0);
         }
         p.add_constraint(e, Cmp::Eq, 1.0);
     }
@@ -234,15 +232,18 @@ fn formulate(
     }
 
     // Eq. 4: ω flow indicators, no bidirectional pairs in a segment.
-    let mut omegas: Vec<Vec<Vec<VarId>>> = Vec::with_capacity(s_max);
-    for si in 0..s_max {
-        let omega: Vec<Vec<VarId>> = (0..n)
-            .map(|a| {
-                (0..n)
-                    .map(|b| p.add_binary(format!("om_{a}_{b}_{si}")))
-                    .collect()
-            })
-            .collect();
+    let omegas: Vec<Vec<Vec<VarId>>> = (0..s_max)
+        .map(|si| {
+            (0..n)
+                .map(|a| {
+                    (0..n)
+                        .map(|b| p.add_binary(format!("om_{a}_{b}_{si}")))
+                        .collect()
+                })
+                .collect()
+        })
+        .collect();
+    for (si, omega) in omegas.iter().enumerate() {
         for &(pr, co, _) in &edges {
             for a in 0..n {
                 for b in 0..n {
@@ -257,13 +258,12 @@ fn formulate(
                 }
             }
         }
-        for a in 0..n {
-            for b in (a + 1)..n {
-                let e = LinExpr::from(omega[a][b]) + LinExpr::from(omega[b][a]);
+        for (a, row) in omega.iter().enumerate() {
+            for (b, &ab) in row.iter().enumerate().skip(a + 1) {
+                let e = LinExpr::from(ab) + LinExpr::from(omega[b][a]);
                 p.add_constraint(e, Cmp::Le, 1.0);
             }
         }
-        omegas.push(omega);
     }
 
     // Same-segment edge variables z[e][s] (continuous in [0,1]; the CTC
@@ -275,11 +275,11 @@ fn formulate(
                 .collect()
         })
         .collect();
-    for (ei, &(pr, co, _)) in edges.iter().enumerate() {
-        for si in 0..s_max {
-            let e1 = LinExpr::from(z[ei][si]) + y(pr, si) * -1.0;
+    for (&(pr, co, _), z_e) in edges.iter().zip(&z) {
+        for (si, &z_es) in z_e.iter().enumerate() {
+            let e1 = LinExpr::from(z_es) + y(pr, si) * -1.0;
             p.add_constraint(e1, Cmp::Le, 0.0);
-            let e2 = LinExpr::from(z[ei][si]) + y(co, si) * -1.0;
+            let e2 = LinExpr::from(z_es) + y(co, si) * -1.0;
             p.add_constraint(e2, Cmp::Le, 0.0);
         }
     }
@@ -299,11 +299,8 @@ fn formulate(
                 } else {
                     0.0
                 };
-            for ni in 0..n {
-                e.add_term(
-                    lam[it.index][ni][si],
-                    (it.ops as f64 - target_ctc * base) / total_ops,
-                );
+            for on_pu in &lam[it.index] {
+                e.add_term(on_pu[si], (it.ops as f64 - target_ctc * base) / total_ops);
             }
         }
         for (ei, &(pr, co, b)) in edges.iter().enumerate() {
@@ -317,27 +314,27 @@ fn formulate(
     // Objective: pairwise Manhattan distance of per-PU op vectors.
     let mut obj = LinExpr::new();
     let mut d_vars: Vec<(VarId, usize, usize, usize)> = Vec::new();
-    for ni in 0..n {
-        for s1 in 0..s_max {
-            for s2 in (s1 + 1)..s_max {
-                let d = p.add_continuous(format!("d_{ni}_{s1}_{s2}"), 0.0, f64::INFINITY);
-                d_vars.push((d, ni, s1, s2));
-                // d >= +-(ops(n,s1) - ops(n,s2)) / total_ops
-                let mut diff = LinExpr::new();
-                for it in items {
-                    let o = it.ops as f64 / total_ops;
-                    diff.add_term(lam[it.index][ni][s1], o);
-                    diff.add_term(lam[it.index][ni][s2], -o);
-                }
-                let mut c1 = diff.clone();
-                c1.add_term(d, -1.0);
-                p.add_constraint(c1, Cmp::Le, 0.0);
-                let mut c2 = diff * -1.0;
-                c2.add_term(d, -1.0);
-                p.add_constraint(c2, Cmp::Le, 0.0);
-                obj.add_term(d, 1.0);
-            }
+    // Every PU and pair of segments.
+    let pairs = (0..n).flat_map(|ni| {
+        (0..s_max).flat_map(move |s1| ((s1 + 1)..s_max).map(move |s2| (ni, s1, s2)))
+    });
+    for (ni, s1, s2) in pairs {
+        let d = p.add_continuous(format!("d_{ni}_{s1}_{s2}"), 0.0, f64::INFINITY);
+        d_vars.push((d, ni, s1, s2));
+        // d >= +-(ops(n,s1) - ops(n,s2)) / total_ops
+        let mut diff = LinExpr::new();
+        for it in items {
+            let o = it.ops as f64 / total_ops;
+            diff.add_term(lam[it.index][ni][s1], o);
+            diff.add_term(lam[it.index][ni][s2], -o);
         }
+        let mut c1 = diff.clone();
+        c1.add_term(d, -1.0);
+        p.add_constraint(c1, Cmp::Le, 0.0);
+        let mut c2 = diff * -1.0;
+        c2.add_term(d, -1.0);
+        p.add_constraint(c2, Cmp::Le, 0.0);
+        obj.add_term(d, 1.0);
     }
     p.set_objective(obj);
 

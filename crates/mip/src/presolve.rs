@@ -203,13 +203,13 @@ pub fn presolve(p: &Problem) -> PresolveResult {
 
         // Row pass: constant rows, singletons, activity checks, bound
         // tightening, coefficient reduction.
-        for ri in 0..rows.len() {
-            if rows[ri].dropped {
+        for row in rows.iter_mut() {
+            if row.dropped {
                 continue;
             }
             // Constant row: nothing left to constrain.
-            if rows[ri].terms.is_empty() {
-                let (rhs, eq, src) = (rows[ri].rhs, rows[ri].eq, rows[ri].src);
+            if row.terms.is_empty() {
+                let (rhs, eq, src) = (row.rhs, row.eq, row.src);
                 let ok = if eq { rhs.abs() <= TOL } else { rhs >= -TOL };
                 if !ok {
                     return PresolveResult::Infeasible {
@@ -220,17 +220,17 @@ pub fn presolve(p: &Problem) -> PresolveResult {
                         ),
                     };
                 }
-                rows[ri].dropped = true;
+                row.dropped = true;
                 stats.rows_dropped += 1;
                 changed = true;
                 continue;
             }
             // Singleton row: absorb into the variable's bounds.
-            if rows[ri].terms.len() == 1 {
-                let (v, k) = rows[ri].terms[0];
-                let rhs = rows[ri].rhs;
-                let eq = rows[ri].eq;
-                let src = rows[ri].src;
+            if row.terms.len() == 1 {
+                let (v, k) = row.terms[0];
+                let rhs = row.rhs;
+                let eq = row.eq;
+                let src = row.src;
                 let x = rhs / k;
                 let (lo, hi) = bounds[v];
                 let mut tightened = false;
@@ -274,15 +274,15 @@ pub fn presolve(p: &Problem) -> PresolveResult {
                 if tightened {
                     stats.bounds_tightened += 1;
                 }
-                rows[ri].dropped = true;
+                row.dropped = true;
                 stats.rows_dropped += 1;
                 changed = true;
                 continue;
             }
 
             // Activity bounds of the row.
-            let (min_act, max_act) = activity(&rows[ri].terms, &bounds);
-            let (rhs, eq, src) = (rows[ri].rhs, rows[ri].eq, rows[ri].src);
+            let (min_act, max_act) = activity(&row.terms, &bounds);
+            let (rhs, eq, src) = (row.rhs, row.eq, row.src);
             if min_act > rhs + TOL {
                 return PresolveResult::Infeasible {
                     reason: format!(
@@ -304,7 +304,7 @@ pub fn presolve(p: &Problem) -> PresolveResult {
                 max_act <= rhs + TOL
             };
             if vacuous {
-                rows[ri].dropped = true;
+                row.dropped = true;
                 stats.rows_dropped += 1;
                 changed = true;
                 continue;
@@ -312,7 +312,7 @@ pub fn presolve(p: &Problem) -> PresolveResult {
 
             // Bound tightening from the <= view (and the mirrored view for
             // == rows).
-            match tighten(&rows[ri].terms, rhs, false, &mut bounds, &is_int, &mut stats) {
+            match tighten(&row.terms, rhs, false, &mut bounds, &is_int, &mut stats) {
                 Tighten::Ok(c) => changed |= c,
                 Tighten::Crossed(v) => {
                     return PresolveResult::Infeasible {
@@ -324,7 +324,7 @@ pub fn presolve(p: &Problem) -> PresolveResult {
                 }
             }
             if eq {
-                match tighten(&rows[ri].terms, rhs, true, &mut bounds, &is_int, &mut stats) {
+                match tighten(&row.terms, rhs, true, &mut bounds, &is_int, &mut stats) {
                     Tighten::Ok(c) => changed |= c,
                     Tighten::Crossed(v) => {
                         return PresolveResult::Infeasible {
@@ -337,7 +337,7 @@ pub fn presolve(p: &Problem) -> PresolveResult {
                 }
             } else {
                 // Coefficient reduction (inequality rows only).
-                changed |= reduce_coefficients(&mut rows[ri], &bounds, &is_int, &mut stats);
+                changed |= reduce_coefficients(row, &bounds, &is_int, &mut stats);
             }
         }
 

@@ -287,9 +287,7 @@ pub(crate) fn solve_lp(p: &Problem, bounds: &[(f64, f64)]) -> Result<LpSolve, Mi
     // Phase 1: minimize the sum of artificials.
     if tab.n_art > 0 {
         let mut cost = vec![0.0; total];
-        for j in art_start..total {
-            cost[j] = 1.0;
-        }
+        cost[art_start..].fill(1.0);
         let (st, pv) = optimize(&mut tab.t, &mut tab.basis, &cost, None);
         pivots += pv;
         match st {

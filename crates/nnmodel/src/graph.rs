@@ -180,9 +180,9 @@ impl Graph {
             };
             let _ = writeln!(
                 out,
-                "  n{} [label=\"{}\\n{} -> {}\"];",
+                "  n{} [label=\"{} ({kind})\\n{} -> {}\"];",
                 l.id.index(),
-                format!("{} ({kind})", l.name),
+                l.name,
                 l.input_shape,
                 l.output_shape
             );
@@ -291,7 +291,7 @@ impl GraphBuilder {
     ) -> Result<NodeId, GraphError> {
         let name = name.into();
         let in_shape = self.shape_of(from);
-        if groups == 0 || in_shape.c % groups != 0 || out_c % groups != 0 {
+        if groups == 0 || !in_shape.c.is_multiple_of(groups) || !out_c.is_multiple_of(groups) {
             return Err(GraphError::BadGroups {
                 layer: name,
                 in_c: in_shape.c,

@@ -155,8 +155,7 @@ mod tests {
         let last_pool = g
             .layers()
             .iter()
-            .filter(|l| matches!(l.kind, LayerKind::Pool { .. }))
-            .next_back()
+            .rfind(|l| matches!(l.kind, LayerKind::Pool { .. }))
             .expect("has pools");
         assert_eq!(last_pool.output_shape.h, 7);
         assert_eq!(last_pool.output_shape.c, 512);

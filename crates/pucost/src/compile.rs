@@ -50,6 +50,7 @@ fn wfu(x: usize) -> f64 {
 /// Operands are layer/PU dimensions, far below `usize::MAX`, so the
 /// `a + m - 1` rearrangement cannot overflow.
 #[inline(always)]
+#[allow(clippy::manual_div_ceil)] // open-coded on purpose, as said above
 fn dcz(a: usize, b: usize) -> usize {
     let m = if b == 0 { 1 } else { b };
     (a + m - 1) / m
@@ -198,7 +199,7 @@ impl CompiledEval {
         };
         let tiles =
             w64(dcz(self.icg, r) * dcz(self.ocg, c) * self.k2) * w64(dcz(self.groups, par));
-        let stall = if r64 >= self.ohw { r64 - self.ohw } else { 0 };
+        let stall = r64.saturating_sub(self.ohw);
         tiles * (self.ohw + stall) + fill
     }
 

@@ -214,7 +214,7 @@ impl HwBudget {
                 return Err(BudgetError::BadRate { field, value });
             }
         }
-        if self.platform == Platform::Fpga && self.on_chip_bytes % BRAM36K_BYTES != 0 {
+        if self.platform == Platform::Fpga && !self.on_chip_bytes.is_multiple_of(BRAM36K_BYTES) {
             return Err(BudgetError::UnalignedBram {
                 on_chip_bytes: self.on_chip_bytes,
             });

@@ -13,7 +13,7 @@ pub fn factor_geometry(pes: usize) -> (usize, usize) {
     let mut best = (1, pes);
     let mut d = 1;
     while d * d <= pes {
-        if pes % d == 0 {
+        if pes.is_multiple_of(d) {
             best = (d, pes / d);
         }
         d += 1;

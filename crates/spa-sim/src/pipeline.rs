@@ -128,8 +128,8 @@ fn simulate_spa_impl(
             // Occupancy of the segment's PUs relative to its bottleneck.
             let busy: u64 = pu_cycles.iter().sum();
             let span = bottleneck * u64_of(pu_cycles.len().max(1));
-            if span > 0 {
-                obs::record("spa.pipeline.occupancy_pct", busy * 100 / span);
+            if let Some(pct) = (busy * 100).checked_div(span) {
+                obs::record("spa.pipeline.occupancy_pct", pct);
             }
         }
         per_segment.push(SegmentStats {
