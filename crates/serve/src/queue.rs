@@ -154,11 +154,6 @@ impl<J> Admission<J> {
         Some(q)
     }
 
-    /// Peeks at the next job without dequeuing it.
-    pub fn peek(&self) -> Option<&Queued<J>> {
-        self.heap.peek()
-    }
-
     /// Marks one previously popped job finished.
     pub fn finish(&mut self) {
         self.running = self.running.saturating_sub(1);
