@@ -290,9 +290,9 @@ impl AutoSeg {
 
         // One shape's candidate, built and simulated independently of all
         // others (the parallel sweep stays bit-identical to the serial
-        // one: results are folded in enumeration order).
-        // Each stage runs in its own span, so an `OBS_LEVEL=summary` run
-        // splits the sweep's time between them.
+        // one: results are folded in enumeration order). Each stage runs
+        // in its own span, so an `OBS_LEVEL=summary` run splits the
+        // sweep's time between them.
         let eval_shape = |&(n, s): &(usize, usize)| {
             let schedule = {
                 let _span = obs::span!("autoseg.engine.segment");

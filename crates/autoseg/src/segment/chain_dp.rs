@@ -41,7 +41,7 @@ impl ChainDpSegmenter {
 }
 
 /// Exact pipelined DRAM bytes of every contiguous item range `[i, j)`,
-/// built in one `O(L^2 + L*E)` pass over `L` items and `E` producer edges.
+/// built in one `O(L^2 + L * E)` pass over `L` items and `E` producer edges.
 ///
 /// For each start `i` the range grows one item `m` at a time: `m` adds its
 /// weights, external input, reads from producers before `i` and its output;

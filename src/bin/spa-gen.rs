@@ -214,7 +214,6 @@ fn main() -> ExitCode {
     }
     println!("wrote {}", manifest_path.display());
     println!("wrote {}", rtl_path.display());
-    // Under `OBS_LEVEL=summary`, the engine's per-stage split on stderr.
     deepburning_seg::obs::finish();
     ExitCode::SUCCESS
 }
